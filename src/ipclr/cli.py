@@ -22,7 +22,7 @@ from . import experiments
 from .denoise import AdmmParams, NumericalError, denoise, estimate_if_for, lambda_sweep
 from .frames import StftConfig, analysis_window, hann_window, istft, one_sided, stft
 from .io import read_wav, write_matrix_csv, write_wav
-from .ipc import build_corrector, ipc_istft, ipc_stft
+from .ipc import build_corrector, ipc_istft, ipc_stft  # ipc_istft: wrapped by perfbench
 from .lowrank import rank_k_approx
 from .signals import (
     SignalBuffer,
@@ -231,44 +231,29 @@ def cmd_lowrank(ctx, input_wav, k, representation, window_len, shift_div,
     x_obs = one_sided(stft(observed, config, w, framing="valid").data)
     if p["k"] > min(x_obs.shape):
         raise click.UsageError(f"k exceeds the spectrogram rank bound {min(x_obs.shape)}")
-    if p["representation"] == "amplitude":
-        estimate = rank_k_approx(np.abs(x_obs), p["k"]) * np.exp(1j * np.angle(x_obs))
-    elif p["representation"] == "stft":
-        estimate = rank_k_approx(x_obs, p["k"])
-    else:
-        if_signal = clean if p["if_source"] == "clean" else observed
-        corrector = build_corrector(experiments.estimate_if_valid(if_signal, config))
-        e_half = one_sided(corrector.E)
-        estimate = np.conj(e_half) * rank_k_approx(e_half * x_obs, p["k"])
-    value = snr_db(x_clean, estimate)
+    if_signal = clean if p["if_source"] == "clean" else observed
+    m, back = experiments.represent(x_obs, p["representation"], if_signal, config)
+    value = snr_db(x_clean, back(rank_k_approx(m, p["k"])))
     click.echo(f"representation={p['representation']} shift=1/{p['shift_div']} "
                f"k={p['k']} spectrogram SNR = {_format_db(value)} dB")
 
     if output:
         tight_cfg = _stft_config(p["window_len"], p["shift_div"], tight=True)
-        recon = _reconstruct_rank_k(observed, clean, tight_cfg,
-                                    p["representation"], p["k"], p["if_source"])
+        recon = _reconstruct_rank_k(observed, if_signal, tight_cfg,
+                                    p["representation"], p["k"])
         write_wav(recon, output, format="float32")
         click.echo(f"time-domain SNR vs clean = "
                    f"{_format_db(snr_db(clean, recon))} dB; wrote {output}")
 
 
-def _reconstruct_rank_k(observed: SignalBuffer, clean: SignalBuffer,
-                        config: StftConfig, representation: str, k: int,
-                        if_source: str) -> SignalBuffer:
+def _reconstruct_rank_k(observed: SignalBuffer, if_signal: SignalBuffer,
+                        config: StftConfig, representation: str,
+                        k: int) -> SignalBuffer:
     """Invertible-pipeline variant: rank-k in cover framing, then synthesis."""
     w = analysis_window(config)
     spec = stft(observed, config, w)
-    if representation == "amplitude":
-        data = rank_k_approx(np.abs(spec.data), k) * np.exp(1j * np.angle(spec.data))
-        return istft(replace(spec, data=data), w)
-    if representation == "stft":
-        return istft(replace(spec, data=rank_k_approx(spec.data, k)), w)
-    if_signal = clean if if_source == "clean" else observed
-    corrector = build_corrector(estimate_if_for(if_signal, config))
-    corrected = ipc_stft(spec, corrector)
-    approx = replace(corrected, data=rank_k_approx(corrected.data, k))
-    return ipc_istft(approx, corrector, w)
+    m, back = experiments.represent(spec.data, representation, if_signal, config, "cover")
+    return istft(replace(spec, data=back(rank_k_approx(m, k))), w)
 
 
 @cli.command("table1")

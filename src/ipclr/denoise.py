@@ -167,7 +167,7 @@ def denoise(
     if if_map is None:
         if_map = estimate_if_for(d, config)
     n = len(d)
-    expected = (config.fft_size, frame_count(n, config, "cover"))
+    expected = (config.window_len, frame_count(n, config, "cover"))
     if if_map.values.shape != expected:
         raise ValueError(
             f"IF map shape {if_map.values.shape} does not match the "

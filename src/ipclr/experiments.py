@@ -28,11 +28,13 @@ thread pool capped by the IPCLR_THREADS environment variable.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .denoise import estimate_if_for
 from .frames import (
     StftConfig,
     derivative_window,
@@ -94,7 +96,7 @@ class ExperimentSpec:
     k_values: tuple[int, ...] = (1,)
 
     def __post_init__(self):
-        if self.kind not in ("table1", "fig2", "fig3", "denoise_sweep", "lowrank"):
+        if self.kind not in ("table1", "fig3"):
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
         if self.noise_domain not in ("tf", "time"):
             raise ValueError("noise_domain must be 'tf' or 'time'")
@@ -104,9 +106,11 @@ class ExperimentSpec:
 
 def _threads() -> int:
     env = os.environ.get("IPCLR_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env.strip():
+        return os.cpu_count() or 1
+    if not env.strip().isdigit() or int(env) < 1:
+        raise ValueError(f"IPCLR_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _pmap(fn, items):
@@ -140,6 +144,55 @@ class RankCell:
     snr_db: float
 
 
+def observe(
+    clean: SignalBuffer,
+    config: StftConfig,
+    input_snr_db: float | None,
+    seed: int,
+    noise_domain: str,
+) -> tuple[np.ndarray, np.ndarray, SignalBuffer]:
+    """Return ``(x_clean, x_obs, observed_signal)``, one-sided in valid framing.
+
+    ``input_snr_db=None`` observes the clean signal.  Bin-wise (``"tf"``) noise
+    has no waveform, so the observed signal is then ``clean`` itself.
+    """
+    w = hann_window(config.window_len)
+    x_clean = one_sided(stft(clean, config, w, framing="valid").data)
+    if input_snr_db is None:
+        return x_clean, x_clean, clean
+    if noise_domain == "time":
+        noisy = add_noise_at_snr(clean, input_snr_db, seed)
+        return x_clean, one_sided(stft(noisy, config, w, framing="valid").data), noisy
+    return x_clean, add_complex_noise_at_snr(x_clean, input_snr_db, seed), clean
+
+
+def represent(
+    x: np.ndarray,
+    representation: str,
+    if_signal: SignalBuffer,
+    config: StftConfig,
+    framing: str = "valid",
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Return ``(matrix, back)``: what rank-k truncation acts on, and the map back.
+
+    ``amplitude`` truncates ``|x|`` and restores the phase of ``x``; ``ipc``
+    truncates ``E * x`` with ``E`` from the IF map of ``if_signal``.  ``x`` is
+    one-sided for ``valid`` framing and two-sided for ``cover``.
+    """
+    if representation == "amplitude":
+        phase = np.exp(1j * np.angle(x))
+        return np.abs(x), lambda m: m * phase
+    if representation == "stft":
+        return x, lambda m: m
+    if representation != "ipc":
+        raise ValueError(f"unknown representation: {representation!r}")
+    if framing == "cover":
+        e = build_corrector(estimate_if_for(if_signal, config)).E
+    else:
+        e = one_sided(build_corrector(estimate_if_valid(if_signal, config)).E)
+    return e * x, lambda m: np.conj(e) * m
+
+
 def rank_cell_snr(
     clean: SignalBuffer,
     config: StftConfig,
@@ -158,31 +211,10 @@ def rank_cell_snr(
     estimator to look at, so the phase correction then comes from the
     clean signal.
     """
-    if representation not in REPRESENTATIONS:
-        raise ValueError(f"unknown representation: {representation!r}")
-    w = hann_window(config.window_len)
-    x_clean = one_sided(stft(clean, config, w, framing="valid").data)
-
-    noisy_signal = clean
-    if input_snr_db is None:
-        x_obs = x_clean
-    elif noise_domain == "time":
-        noisy_signal = add_noise_at_snr(clean, input_snr_db, seed)
-        x_obs = one_sided(stft(noisy_signal, config, w, framing="valid").data)
-    else:
-        x_obs = add_complex_noise_at_snr(x_clean, input_snr_db, seed)
-
-    if representation == "amplitude":
-        approx = svd(np.abs(x_obs)).reconstruct(k)
-        estimate = approx * np.exp(1j * np.angle(x_obs))
-    elif representation == "stft":
-        estimate = svd(x_obs).reconstruct(k)
-    else:
-        if_signal = clean if if_source == "clean" else noisy_signal
-        corrector = build_corrector(estimate_if_valid(if_signal, config))
-        e_half = one_sided(corrector.E)
-        estimate = np.conj(e_half) * svd(e_half * x_obs).reconstruct(k)
-    return snr_db(x_clean, estimate)
+    x_clean, x_obs, observed = observe(clean, config, input_snr_db, seed, noise_domain)
+    if_signal = clean if if_source == "clean" else observed
+    m, back = represent(x_obs, representation, if_signal, config)
+    return snr_db(x_clean, back(svd(m).reconstruct(k)))
 
 
 def run_table1(spec: ExperimentSpec) -> list[RankCell]:
@@ -259,43 +291,16 @@ def run_fig3(spec: ExperimentSpec, input_snr_db: float | None) -> list[RankCell]
     clean = default_signal(spec.sinusoid_count, spec.duration_s, spec.sample_rate_hz)
     div = spec.shift_divisors[0]
     config = analysis_config(spec.window_len, div)
-    w = hann_window(spec.window_len)
-    x_clean = one_sided(stft(clean, config, w, framing="valid").data)
-
     seed = spec.seeds[0] if spec.seeds else 0
-    noisy_signal = clean
-    if input_snr_db is None:
-        x_obs = x_clean
-    elif spec.noise_domain == "time":
-        noisy_signal = add_noise_at_snr(clean, input_snr_db, seed)
-        x_obs = one_sided(stft(noisy_signal, config, w, framing="valid").data)
-    else:
-        x_obs = add_complex_noise_at_snr(x_clean, input_snr_db, seed)
+    x_clean, x_obs, observed = observe(clean, config, input_snr_db, seed, spec.noise_domain)
+    if_signal = clean if spec.if_source == "clean" else observed
+    cell_seed = seed if input_snr_db is not None else -1
 
     cells = []
     for representation in REPRESENTATIONS:
-        if representation == "amplitude":
-            factors = svd(np.abs(x_obs))
-            phase = np.exp(1j * np.angle(x_obs))
-            recover = lambda k: factors.reconstruct(k) * phase
-        elif representation == "stft":
-            factors = svd(x_obs)
-            recover = lambda k: factors.reconstruct(k)
-        else:
-            if_signal = clean if spec.if_source == "clean" else noisy_signal
-            corrector = build_corrector(estimate_if_valid(if_signal, config))
-            e_half = one_sided(corrector.E)
-            factors = svd(e_half * x_obs)
-            recover = lambda k: np.conj(e_half) * factors.reconstruct(k)
+        m, back = represent(x_obs, representation, if_signal, config)
+        factors = svd(m)
         for k in spec.k_values:
-            cells.append(
-                RankCell(
-                    representation,
-                    div,
-                    input_snr_db,
-                    k,
-                    seed if input_snr_db is not None else -1,
-                    snr_db(x_clean, recover(k)),
-                )
-            )
+            value = snr_db(x_clean, back(factors.reconstruct(k)))
+            cells.append(RankCell(representation, div, input_snr_db, k, cell_seed, value))
     return cells

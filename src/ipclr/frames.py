@@ -4,9 +4,9 @@ The transform follows the windowed-DFT convention
 
     S[xi, tau] = sum_l x[l + a*tau] * w[l] * exp(-2j*pi*xi*l/L)
 
-with the full two-sided spectrum (fft_size K = window length L, frequency
-step b = 1) and an unnormalized DFT.  Two deterministic framing rules are
-supported:
+with window_len two-sided bins on the exact DFT grid (K = L rows,
+xi = 0..L-1) and an unnormalized DFT.  Two deterministic framing rules
+are supported:
 
 ``cover``
     The signal is zero-padded by L - a samples on the left and enough on
@@ -38,20 +38,16 @@ FRAMINGS = ("cover", "valid")
 class StftConfig:
     """Transform geometry: window length L, hop a, and window family.
 
-    Constraints kept by this artifact: a divides L, a <= L/2 (painless
-    overlap for tight-frame construction), fft_size == L and freq_step == 1
-    (full two-sided spectrum on the exact DFT grid).
+    Constraints: a divides L and a <= L/2 (painless overlap for tight-frame
+    construction).  The transform has ``window_len`` two-sided bins on the
+    exact DFT grid.
     """
 
     window_len: int
     hop: int
-    fft_size: int = 0
     window_kind: str = "hann"
-    freq_step: int = 1
 
     def __post_init__(self):
-        if self.fft_size == 0:
-            object.__setattr__(self, "fft_size", self.window_len)
         if self.window_len < 2:
             raise ValueError("window_len must be at least 2")
         if self.hop < 1:
@@ -60,10 +56,6 @@ class StftConfig:
             raise ValueError("hop must not exceed window_len/2")
         if self.window_len % self.hop != 0:
             raise ValueError("hop must divide window_len")
-        if self.fft_size != self.window_len:
-            raise ValueError("fft_size must equal window_len in this artifact")
-        if self.freq_step != 1:
-            raise ValueError("freq_step must be 1 in this artifact")
         if self.window_kind not in ("hann", "hann_tight"):
             raise ValueError(f"unknown window_kind: {self.window_kind!r}")
 
@@ -82,14 +74,13 @@ class Spectrogram:
     origin_len: int
     sample_rate_hz: float = 1.0
     framing: str = "cover"
-    phase_corrected: bool = False
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.complex128)
         if data.ndim != 2:
             raise ValueError("spectrogram data must be a 2-D matrix")
-        if data.shape[0] != self.config.fft_size:
-            raise ValueError("row count must equal fft_size")
+        if data.shape[0] != self.config.window_len:
+            raise ValueError("row count must equal window_len")
         if self.framing not in FRAMINGS:
             raise ValueError(f"unknown framing: {self.framing!r}")
         object.__setattr__(self, "data", data)
@@ -213,7 +204,7 @@ def stft(
     if framing not in FRAMINGS:
         raise ValueError(f"unknown framing: {framing!r}")
     patches = frame_signal(samples, config, framing)
-    data = np.fft.fft(w[:, None] * patches, n=config.fft_size, axis=0)
+    data = np.fft.fft(w[:, None] * patches, n=config.window_len, axis=0)
     return Spectrogram(
         data=data,
         config=config,
@@ -237,7 +228,7 @@ def istft(spec: Spectrogram, w_synth: np.ndarray) -> SignalBuffer:
     L, a = spec.config.window_len, spec.config.hop
     if w_synth.shape != (L,):
         raise ValueError("synthesis window length does not match config.window_len")
-    frames = np.fft.ifft(spec.data, axis=0) * spec.config.fft_size
+    frames = np.fft.ifft(spec.data, axis=0) * L
     frames *= w_synth[:, None]
     n_frames = spec.n_frames
     buf = np.zeros(a * (n_frames - 1) + L, dtype=np.complex128)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,21 +23,13 @@ FORMATS = ("pcm16", "pcm24", "float32")
 _PCM_SCALE = {"pcm16": 32768, "pcm24": 8388608}
 
 
-@dataclass(frozen=True)
-class WavFile:
-    """Descriptor of a mono WAV on disk."""
-
-    path: str
-    format: str
-    sample_rate_hz: float
-    channels: int = 1
-
-
 def read_wav(path: str | Path) -> SignalBuffer:
     """Read a RIFF/WAVE file into a mono SignalBuffer.
 
     PCM samples are normalized to [-1, 1]; multi-channel data is averaged
-    down to mono with a logged notice.
+    down to mono with a logged notice.  A chunk that runs past the end of
+    the file, or a data chunk that is not a whole number of sample frames,
+    raises ValueError.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -50,6 +41,9 @@ def read_wav(path: str | Path) -> SignalBuffer:
         chunk_id = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
         body = raw[pos + 8 : pos + 8 + size]
+        if len(body) < size:
+            raise ValueError(f"{path}: {chunk_id.decode('latin-1')!r} chunk declares "
+                             f"{size} bytes but only {len(body)} are present")
         if chunk_id == b"fmt ":
             fmt = body
         elif chunk_id == b"data":
@@ -66,10 +60,16 @@ def read_wav(path: str | Path) -> SignalBuffer:
         raise ValueError(f"{path}: malformed fmt chunk")
     if len(data) == 0:
         raise ValueError(f"{path}: empty data chunk")
+    if (audio_format, bits) not in ((1, 16), (1, 24), (3, 32)):
+        raise ValueError(f"{path}: unsupported codec (format={audio_format}, bits={bits})")
+    frame_bytes = channels * bits // 8
+    if len(data) % frame_bytes:
+        raise ValueError(f"{path}: data chunk of {len(data)} bytes is not a whole "
+                         f"number of {frame_bytes}-byte sample frames")
 
-    if audio_format == 1 and bits == 16:
+    if bits == 16:
         x = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == 1 and bits == 24:
+    elif bits == 24:
         b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
         ints = (
             b[:, 0].astype(np.int32)
@@ -78,14 +78,11 @@ def read_wav(path: str | Path) -> SignalBuffer:
         )
         ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
         x = ints.astype(np.float64) / 8388608.0
-    elif audio_format == 3 and bits == 32:
-        x = np.frombuffer(data, dtype="<f4").astype(np.float64)
     else:
-        raise ValueError(f"{path}: unsupported codec (format={audio_format}, bits={bits})")
+        x = np.frombuffer(data, dtype="<f4").astype(np.float64)
 
     if channels > 1:
-        usable = (x.shape[0] // channels) * channels
-        x = x[:usable].reshape(-1, channels).mean(axis=1)
+        x = x.reshape(-1, channels).mean(axis=1)
         log.info("%s: downmixed %d channels to mono", path, channels)
     return SignalBuffer(x, float(rate))
 

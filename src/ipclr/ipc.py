@@ -20,12 +20,9 @@ from .signals import SignalBuffer
 
 @dataclass(frozen=True)
 class PhaseCorrector:
-    """Unimodular phase-correction matrix with its source IF map."""
+    """Unimodular phase-correction matrix."""
 
     E: np.ndarray
-    source_if: IfMap
-    hop: int
-    window_len: int
 
     def conjugate(self) -> np.ndarray:
         return np.conj(self.E)
@@ -48,14 +45,14 @@ def build_corrector(v: IfMap) -> PhaseCorrector:
     for tau in range(1, values.shape[1]):
         col = E[:, tau - 1] * step[:, tau - 1]
         E[:, tau] = col / np.abs(col)
-    return PhaseCorrector(E=E, source_if=v, hop=a, window_len=L)
+    return PhaseCorrector(E=E)
 
 
 def ipc_stft(spec: Spectrogram, corrector: PhaseCorrector) -> Spectrogram:
-    """Hadamard product E * S; marks the result as phase-corrected."""
+    """Hadamard product E * S."""
     if corrector.E.shape != spec.data.shape:
         raise ValueError("corrector shape does not match spectrogram shape")
-    return replace(spec, data=corrector.E * spec.data, phase_corrected=True)
+    return replace(spec, data=corrector.E * spec.data)
 
 
 def ipc_istft(
@@ -64,7 +61,5 @@ def ipc_istft(
     """Undo the phase correction with conj(E), then invert the STFT."""
     if corrector.E.shape != spec_ipc.data.shape:
         raise ValueError("corrector shape does not match spectrogram shape")
-    plain = replace(
-        spec_ipc, data=corrector.conjugate() * spec_ipc.data, phase_corrected=False
-    )
+    plain = replace(spec_ipc, data=corrector.conjugate() * spec_ipc.data)
     return istft(plain, w_synth)

@@ -89,11 +89,14 @@ class TestLowrank:
                    "--representation", "stft"])
         assert rc == 0
 
-    def test_ipc_rank_one_reconstruction(self, workdir):
+    @pytest.mark.parametrize("representation,if_source", [
+        ("amplitude", "clean"), ("stft", "clean"), ("ipc", "clean"), ("ipc", "noisy"),
+    ])
+    def test_rank_one_reconstruction(self, workdir, representation, if_source):
         clean_p, noisy_p = synth_pair(workdir)
         rc = main(["lowrank", "noisy.wav", "--window-len", "512", "--k", "1",
-                   "--representation", "ipc", "--clean", "clean.wav",
-                   "-o", "rk.wav"])
+                   "--representation", representation, "--if-source", if_source,
+                   "--clean", "clean.wav", "-o", "rk.wav"])
         assert rc == 0
         recon = read_wav(workdir / "rk.wav")
         assert len(recon) == len(read_wav(noisy_p))
@@ -121,6 +124,12 @@ class TestTable1AndFig3:
                          "--window-len", "512", "-o", out]) == 0
         assert (workdir / "ta" / "table1_cells.csv").read_bytes() == \
             (workdir / "tb" / "table1_cells.csv").read_bytes()
+
+    def test_bad_thread_count_exits_1(self, workdir, monkeypatch, capsys):
+        monkeypatch.setenv("IPCLR_THREADS", "abc")
+        assert main(["table1", "--seeds", "1", "--duration", "0.5",
+                     "--window-len", "512", "-o", "t1"]) == 1
+        assert "IPCLR_THREADS must be a positive integer" in capsys.readouterr().err
 
     def test_fig3_rows(self, workdir):
         rc = main(["fig3", "--k-min", "1", "--k-max", "1", "--duration", "0.5",

@@ -1,16 +1,22 @@
+import re
+
 import numpy as np
 import pytest
 
+from ipclr import experiments
 from ipclr.experiments import (
+    REPRESENTATIONS,
     ExperimentSpec,
     analysis_config,
     default_signal,
     harmonic_specs,
     rank_cell_snr,
+    represent,
     run_fig3,
     run_table1,
     table1_layout,
 )
+from ipclr.frames import StftConfig, analysis_window, hann_window, one_sided, stft
 
 # Small geometry keeps these fast; the published-scale runs live in the
 # acceptance suite.  Window 1024 keeps the 100 Hz partials 6.4 bins apart,
@@ -36,6 +42,8 @@ class TestRecipes:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ExperimentSpec(kind="bogus")
+        with pytest.raises(ValueError):
+            ExperimentSpec(kind="lowrank")
         with pytest.raises(ValueError):
             ExperimentSpec(kind="table1", noise_domain="fourier")
         with pytest.raises(ValueError):
@@ -79,6 +87,35 @@ class TestRankCell:
             noise_domain="time", if_source="noisy",
         )
         assert np.isfinite(value)
+
+
+class TestRepresent:
+    @pytest.mark.parametrize("framing", ["valid", "cover"])
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
+    def test_back_inverts_without_truncation(self, representation, framing):
+        sig = fast_signal()
+        if framing == "valid":
+            cfg = analysis_config(FAST["window_len"], 4)
+            x = one_sided(stft(sig, cfg, hann_window(cfg.window_len), framing="valid").data)
+        else:
+            cfg = StftConfig(window_len=FAST["window_len"], hop=256, window_kind="hann_tight")
+            x = stft(sig, cfg, analysis_window(cfg)).data
+        m, back = represent(x, representation, sig, cfg, framing)
+        assert m.shape == x.shape
+        np.testing.assert_allclose(back(m), x, rtol=0, atol=1e-12 * np.abs(x).max())
+
+
+class TestThreads:
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+    def test_rejects_non_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("IPCLR_THREADS", value)
+        message = f"IPCLR_THREADS must be a positive integer, got '{value}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            experiments._threads()
+
+    def test_accepts_positive_integer(self, monkeypatch):
+        monkeypatch.setenv("IPCLR_THREADS", "3")
+        assert experiments._threads() == 3
 
 
 class TestSweeps:

@@ -65,6 +65,21 @@ class TestReadWav:
         with pytest.raises(OSError):
             read_wav(tmp_path / "missing.wav")
 
+    def test_truncated_chunk_rejected(self, tmp_path):
+        payload = np.zeros(1000, dtype="<i2").tobytes()
+        p = tmp_path / "cut.wav"
+        p.write_bytes(build_wav_bytes(1, 1, 8000, 16, payload)[:-1000])
+        with pytest.raises(ValueError, match=r"cut\.wav: 'data' chunk declares 2000 bytes "
+                                             r"but only 1000 are present"):
+            read_wav(p)
+
+    @pytest.mark.parametrize("channels,bits,size", [(1, 16, 2001), (1, 24, 3001), (2, 16, 6)])
+    def test_partial_sample_frame_rejected(self, tmp_path, channels, bits, size):
+        p = tmp_path / "partial.wav"
+        p.write_bytes(build_wav_bytes(1, channels, 8000, bits, b"\x01" * size))
+        with pytest.raises(ValueError, match=r"partial\.wav: data chunk of .* whole number"):
+            read_wav(p)
+
 
 class TestWriteWav:
     def test_float32_round_trip_bit_exact(self, tmp_path):
