@@ -6,11 +6,13 @@ Solves
 
 where A x = E * stft(x) with the canonical tight window and a frozen phase
 correction E.  The problem is split as min 0.5||x - d||^2 + lam||Z||_*
-subject to Z = A x and solved with scaled-dual ADMM.  Because the tight
-frame satisfies A^H A = I (and E is unimodular), the x-update has the
-closed form x = Re[(d + rho * A^H (Z - U)) / (1 + rho)]; the real-part
-projection is exact for real signals since it is the minimizer of the
-quadratic over the real subspace.
+subject to Z = A x and solved with scaled-dual ADMM.  For a real signal
+A x is conjugate-symmetric, so the solver works on its real one-sided
+form: the rfft of the windowed frames times rows 0..L/2 of E, mapped
+isometrically onto a real L x T matrix with the same singular values
+(see ``_RealAnalysis``).  Because the tight frame satisfies A^T A = I
+(and E is unimodular), the x-update has the closed form
+x = (d + rho * A^T (Z - U)) / (1 + rho), which is real by construction.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .frames import (
-    Spectrogram,
+from .frames import (  # istft: not called here, wrapped by perfbench
     StftConfig,
     analysis_window,
     derivative_window,
     frame_count,
+    frame_signal,
     hann_window,
     istft,
+    overlap_add,
     stft,
 )
 from .ifreq import IfMap, estimate_if
@@ -66,13 +69,32 @@ class AdmmParams:
 
 @dataclass
 class AdmmState:
-    """Final iterates and per-iteration diagnostics of one solve."""
+    """Final iterate and per-iteration diagnostics of one solve.
+
+    The split variable and the scaled dual of the last iteration are both
+    fixed by the input of its thresholding step, ``Y = A x + U_prev``:
+    Z = svt(Y, threshold) and U = Y - Z.  The state keeps Y alone, half the
+    memory of keeping both, and ``Z`` and ``U`` recompute them on access.
+    All three are real L x T matrices in the one-sided coordinates of
+    ``_RealAnalysis``; their norms and singular values equal those of the
+    two-sided complex matrices.
+    """
 
     x: SignalBuffer
-    Z: np.ndarray
-    U: np.ndarray
+    Y: np.ndarray
+    threshold: float
     objective_history: list[float] = field(default_factory=list)
     residual_history: list[float] = field(default_factory=list)
+
+    @property
+    def Z(self) -> np.ndarray:
+        """Split variable of the last iteration, svt(Y, threshold)."""
+        return svt(self.Y, self.threshold)
+
+    @property
+    def U(self) -> np.ndarray:
+        """Scaled dual of the last iteration, Y - Z."""
+        return self.Y - self.Z
 
 
 class LambdaSweepRow(NamedTuple):
@@ -83,35 +105,62 @@ class LambdaSweepRow(NamedTuple):
     objective: float
 
 
-def _mirror_average(z: np.ndarray) -> np.ndarray:
-    """Project a two-sided matrix onto the conjugate-symmetric subspace."""
-    mirror = (-np.arange(z.shape[0])) % z.shape[0]
-    return 0.5 * (z + np.conj(z[mirror, :]))
+class _RealAnalysis:
+    """The frozen operator A = E * stft(., config's window) in real coordinates.
 
+    For a real signal and the E of a real signal's IF map, E * stft(x) is
+    conjugate-symmetric (row K-j is the conjugate of row j), so it is fixed
+    by its rows 0..L/2.  ``forward`` returns the real L x T matrix
 
-class _TightAnalysis:
-    """The frozen linear operator A = E * stft(., tight window) and A^H."""
+        [row 0; sqrt2 * Re rows 1..h; row L/2; sqrt2 * Im rows 1..h]
 
-    def __init__(self, config: StftConfig, corrector: PhaseCorrector, rate: float):
-        if config.window_kind != "hann_tight":
-            raise ValueError("denoising requires a tight analysis window")
+    with h = (L-1)//2 (row L/2 only for even L).  E must be real in rows 0
+    and L/2, as the E of a real signal's IF map is.  The map is an isometry
+    from the conjugate-symmetric subspace onto R^(L x T), so norms and
+    singular values equal those of the two-sided matrix, and ``adjoint`` is
+    A^T, which with the canonical tight window and unimodular E is also the
+    inverse: A^T A = I.  The FFTs run along the contiguous axis of T x L
+    frame arrays; the sqrt2 and the inverse DFT's factor L are folded into
+    the stored corrector rows.
+    """
+
+    def __init__(self, config: StftConfig, corrector: PhaseCorrector):
         self.config = config
         self.window = analysis_window(config)
-        self.corrector = corrector
-        self.rate = rate
+        L = config.window_len
+        self.half = L // 2 + 1
+        self.pairs = slice(1, 1 + (L - 1) // 2)
+        unpaired = corrector.E[[0, L // 2] if L % 2 == 0 else [0]]
+        if np.abs(unpaired.imag).max() > 1e-9:
+            raise ValueError(
+                "phase correction must be real in bins 0 and L/2, "
+                "as it is for the IF map of a real signal"
+            )
+        scale = np.ones(self.half)
+        scale[self.pairs] = np.sqrt(2.0)
+        e = corrector.E[: self.half].T
+        self.e_forward = e * scale
+        self.e_adjoint = np.conj(e) * (L / scale)
 
     def forward(self, samples: np.ndarray) -> np.ndarray:
-        sig = SignalBuffer(samples, self.rate)
-        return self.corrector.E * stft(sig, self.config, self.window).data
+        patches = frame_signal(samples, self.config).T
+        spec = np.fft.rfft(self.window * patches, axis=1)
+        spec *= self.e_forward
+        out = np.empty((self.config.window_len, spec.shape[0]))
+        out[: self.half] = spec.real.T
+        out[self.half :] = spec.imag[:, self.pairs].T
+        return out
 
     def adjoint(self, z: np.ndarray, origin_len: int) -> np.ndarray:
-        spec = Spectrogram(
-            data=self.corrector.conjugate() * z,
-            config=self.config,
-            origin_len=origin_len,
-            sample_rate_hz=self.rate,
-        )
-        return istft(spec, self.window).samples
+        L, a = self.config.window_len, self.config.hop
+        spec = np.zeros((z.shape[1], self.half), dtype=np.complex128)
+        spec.real = z[: self.half].T
+        spec.imag[:, self.pairs] = z[self.half :].T
+        spec *= self.e_adjoint
+        frames = np.fft.irfft(spec, n=L, axis=1)
+        frames *= self.window
+        left = L - a  # the cover framing's left padding
+        return overlap_add(frames.T, a)[left : left + origin_len]
 
 
 def estimate_if_for(signal: SignalBuffer, config: StftConfig) -> IfMap:
@@ -136,14 +185,20 @@ def ipclr_objective(
     corrector: PhaseCorrector,
     config: StftConfig,
 ) -> float:
-    """0.5 * ||x - d||^2 + lam * ||E * stft(x)||_* with the config's window."""
+    """0.5 * ||x - d||^2 + lam * ||E * stft(x)||_* with the config's window.
+
+    The nuclear norm is taken of the real one-sided form of E * stft(x),
+    exactly as ``denoise`` records it in ``objective_history``, so the two
+    compare like for like.  For a real signal and the E of a real signal's
+    IF map it equals the nuclear norm of the two-sided matrix.
+    """
     if len(x) != len(d):
         raise ValueError("signal lengths must match")
-    data_term = 0.5 * float(np.sum((x.samples - d.samples) ** 2))
-    spec = stft(x, config, analysis_window(config))
-    if corrector.E.shape != spec.data.shape:
+    if corrector.E.shape != (config.window_len, frame_count(len(x), config, "cover")):
         raise ValueError("corrector shape does not match the transform shape")
-    return data_term + lam * nuclear_norm(corrector.E * spec.data)
+    data_term = 0.5 * float(np.sum((x.samples - d.samples) ** 2))
+    ax = _RealAnalysis(config, corrector).forward(x.samples)
+    return data_term + lam * nuclear_norm(ax)
 
 
 def denoise(
@@ -156,14 +211,17 @@ def denoise(
 
     The phase correction is built once, from ``if_map`` when given (oracle
     mode) and otherwise from the noisy observation itself, and stays fixed
-    for the whole solve so the prior is convex.  Conjugate symmetry of the
-    split variable is restored after each thresholding step by averaging
-    mirrored bins, keeping the adjoint consistent with real signals.
+    for the whole solve so the prior is convex.  Each iteration runs one
+    forward and one adjoint transform and one thresholding step on the real
+    L x T form of A x, plus one nuclear norm for the exact objective
+    0.5 * ||x - d||^2 + lam * ||A x||_* recorded in ``objective_history``.
 
     Returns the denoised signal and the full solver state.
     """
     if len(d) == 0:
         raise ValueError("observation must be non-empty")
+    if config.window_kind != "hann_tight":
+        raise ValueError("denoising requires a tight analysis window")
     if if_map is None:
         if_map = estimate_if_for(d, config)
     n = len(d)
@@ -173,8 +231,7 @@ def denoise(
             f"IF map shape {if_map.values.shape} does not match the "
             f"transform shape {expected}"
         )
-    corrector = build_corrector(if_map)
-    op = _TightAnalysis(config, corrector, d.sample_rate_hz)
+    op = _RealAnalysis(config, build_corrector(if_map))
 
     x = d.samples.copy()
     Z = op.forward(x)
@@ -188,8 +245,9 @@ def denoise(
         if not np.all(np.isfinite(x)):
             raise NumericalError("ADMM iterate diverged to non-finite values")
         ax = op.forward(x)
-        Z = _mirror_average(svt(ax + U, threshold))
-        U = U + ax - Z
+        Y = ax + U
+        Z = svt(Y, threshold)
+        U = Y - Z
         residual = float(np.linalg.norm(ax - Z))
         ax_norm = float(np.linalg.norm(ax))
         objective = 0.5 * float(np.sum((x - d.samples) ** 2))
@@ -202,8 +260,8 @@ def denoise(
     out = SignalBuffer(x, d.sample_rate_hz)
     state = AdmmState(
         x=out,
-        Z=Z,
-        U=U,
+        Y=Y,
+        threshold=threshold,
         objective_history=objective_history,
         residual_history=residual_history,
     )

@@ -228,15 +228,27 @@ def istft(spec: Spectrogram, w_synth: np.ndarray) -> SignalBuffer:
     L, a = spec.config.window_len, spec.config.hop
     if w_synth.shape != (L,):
         raise ValueError("synthesis window length does not match config.window_len")
-    frames = np.fft.ifft(spec.data, axis=0) * L
+    frames = (np.fft.ifft(spec.data, axis=0) * L).real
     frames *= w_synth[:, None]
-    n_frames = spec.n_frames
-    buf = np.zeros(a * (n_frames - 1) + L, dtype=np.complex128)
-    for tau in range(n_frames):
-        buf[a * tau : a * tau + L] += frames[:, tau]
+    buf = overlap_add(frames, a)
     left = _pad_left(spec.config, spec.framing)
-    out = buf[left : left + spec.origin_len].real
-    return SignalBuffer(out, spec.sample_rate_hz)
+    return SignalBuffer(buf[left : left + spec.origin_len], spec.sample_rate_hz)
+
+
+def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum the L x T columns at offsets hop*tau into one hop*(T-1)+L buffer.
+
+    This is the adjoint of :func:`frame_signal` before cropping.  hop must
+    divide L; the work is L/hop whole-block additions, taken from the last
+    block row to the first so that every sample accumulates its frames in
+    time order.
+    """
+    L, n_frames = frames.shape
+    blocks = L // hop
+    buf = np.zeros((n_frames - 1 + blocks, hop), dtype=frames.dtype)
+    for r in reversed(range(blocks)):
+        buf[r : r + n_frames] += frames[r * hop : (r + 1) * hop].T
+    return buf.reshape(-1)
 
 
 def one_sided(data: np.ndarray) -> np.ndarray:

@@ -31,20 +31,25 @@ class PhaseCorrector:
 def build_corrector(v: IfMap) -> PhaseCorrector:
     """Cumulative per-hop counter-rotation E[xi, tau] from an IF map.
 
-    E[:, 0] = 1 and E[:, tau] = E[:, tau-1] * exp(-2j*pi*v[:, tau-1]*a/L),
-    renormalized to unit modulus every frame so the running product cannot
-    drift over long signals.
+    E[:, 0] = 1 and E[:, tau] = exp(-2j*pi*frac(a/L * sum_{t<tau} v[:, t])),
+    the closed form of the recurrence E[:, tau] = E[:, tau-1] *
+    exp(-2j*pi*v[:, tau-1]*a/L).  Every entry is one cos/sin pair of a
+    phase reduced to [0, 1) cycles, so it is unimodular to rounding and
+    cannot drift over long signals.  For the IF map of a real signal,
+    v[K-j] = K - v[j] and a is an integer, so E[K-j] = conj(E[j]).
     """
     values = v.values
     if not np.all(np.isfinite(values)):
         raise ValueError("IF map contains non-finite values")
     a, L = v.config.hop, v.config.window_len
-    step = np.exp(-2j * np.pi * values * a / L)
+    angle = np.zeros(values.shape)
+    np.cumsum(values[:, :-1], axis=1, out=angle[:, 1:])
+    angle *= a / L
+    angle -= np.floor(angle)
+    angle *= -2.0 * np.pi
     E = np.empty(values.shape, dtype=np.complex128)
-    E[:, 0] = 1.0
-    for tau in range(1, values.shape[1]):
-        col = E[:, tau - 1] * step[:, tau - 1]
-        E[:, tau] = col / np.abs(col)
+    np.cos(angle, out=E.real)
+    np.sin(angle, out=E.imag)
     return PhaseCorrector(E=E)
 
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipclr.denoise import (
     AdmmParams,
+    _RealAnalysis,
     denoise,
     estimate_if_for,
     ipclr_objective,
@@ -94,6 +97,51 @@ class TestOperatorIdentity:
         assert np.linalg.norm(back.samples - x.samples) <= 1e-10 * np.linalg.norm(x.samples)
 
 
+@st.composite
+def real_operator_case(draw):
+    """A real signal of random length, its operator A (hop L/2, L/4 or L/8)."""
+    cfg = StftConfig(window_len=64, hop=64 // draw(st.sampled_from([2, 4, 8])),
+                     window_kind="hann_tight")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(draw(st.integers(1, 400)))
+    op = _RealAnalysis(cfg, build_corrector(estimate_if_for(SignalBuffer(x, RATE), cfg)))
+    return cfg, op, x, rng
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestRealOperator:
+    @PROPERTY
+    @given(real_operator_case())
+    def test_adjointness(self, case):
+        _, op, x, rng = case
+        ax = op.forward(x)
+        z = rng.standard_normal(ax.shape)
+        lhs, rhs = np.vdot(ax, z), np.vdot(x, op.adjoint(z, len(x)))
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(z)
+
+    @PROPERTY
+    @given(real_operator_case())
+    def test_tight_frame_inverse(self, case):
+        _, op, x, _ = case
+        back = op.adjoint(op.forward(x), len(x))
+        assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
+
+    @PROPERTY
+    @given(real_operator_case())
+    def test_singular_values_match_two_sided(self, case):
+        cfg, op, x, _ = case
+        ax = op.forward(x)
+        assert ax.dtype == np.float64
+        E = build_corrector(estimate_if_for(SignalBuffer(x, RATE), cfg)).E
+        two_sided = E * stft(x, cfg, analysis_window(cfg)).data
+        assert ax.shape == two_sided.shape
+        s_real = np.linalg.svd(ax, compute_uv=False)
+        s_two = np.linalg.svd(two_sided, compute_uv=False)
+        assert np.abs(s_real - s_two).max() <= 1e-10 * s_two[0]
+
+
 class TestDenoise:
     def test_lambda_to_zero_returns_observation(self, noisy_pair):
         _, noisy = noisy_pair
@@ -156,6 +204,15 @@ class TestDenoise:
         assert np.all(np.isfinite(x.samples))
         assert state.Z.shape == state.U.shape
 
+    def test_state_holds_last_iterates(self, noisy_pair):
+        _, noisy = noisy_pair
+        if_map = estimate_if_for(noisy, CFG)
+        x, state = denoise(noisy, AdmmParams(lam=5.0, max_iter=8), CFG, if_map=if_map)
+        ax = _RealAnalysis(CFG, build_corrector(if_map)).forward(x.samples)
+        residual = np.linalg.norm(ax - state.Z)
+        assert residual == pytest.approx(state.residual_history[-1], rel=1e-12)
+        np.testing.assert_allclose(state.U + state.Z, state.Y, rtol=0, atol=1e-12 * np.abs(state.Y).max())
+
     def test_tol_stops_early(self, noisy_pair):
         _, noisy = noisy_pair
         _, state = denoise(noisy, AdmmParams(lam=1e-9, max_iter=50, tol=1e-8), CFG)
@@ -177,6 +234,15 @@ class TestDenoise:
         wrong = IfMap(np.zeros((1024, 3)), CFG)
         with pytest.raises(ValueError, match="IF map shape"):
             denoise(noisy, AdmmParams(lam=1.0), CFG, if_map=wrong)
+
+    def test_rejects_if_map_of_complex_signal(self, noisy_pair):
+        # Bin 0 and bin L/2 of a real signal's E are real; without that the
+        # one-sided operator is not tight and the x-update would be wrong.
+        _, noisy = noisy_pair
+        shape = estimate_if_for(noisy, CFG).values.shape
+        skewed = IfMap(np.random.default_rng(3).uniform(0, 1024, shape), CFG)
+        with pytest.raises(ValueError, match="real signal"):
+            denoise(noisy, AdmmParams(lam=1.0), CFG, if_map=skewed)
 
     def test_rejects_mismatched_clean_reference(self, noisy_pair):
         _, noisy = noisy_pair

@@ -11,6 +11,7 @@ from ipclr.frames import (
     hann_window,
     istft,
     one_sided,
+    overlap_add,
     shifted_square_sum,
     stft,
 )
@@ -268,6 +269,34 @@ class TestIstft:
         spec = stft(np.ones(32), cfg, hann_window(16))
         with pytest.raises(ValueError):
             istft(spec, np.ones(8))
+
+
+def reference_overlap_add(frames, hop):
+    """Per-frame loop: frame tau added at offset hop * tau, in time order."""
+    L, n_frames = frames.shape
+    buf = np.zeros(hop * (n_frames - 1) + L, dtype=frames.dtype)
+    for tau in range(n_frames):
+        buf[hop * tau : hop * tau + L] += frames[:, tau]
+    return buf
+
+
+class TestOverlapAdd:
+    @pytest.mark.parametrize("div", [2, 4, 8])
+    @pytest.mark.parametrize("n_frames", [1, 2, 7, 40])
+    def test_matches_frame_loop_exactly(self, div, n_frames):
+        frames = np.random.default_rng(div * n_frames).standard_normal((64, n_frames))
+        out = overlap_add(frames, 64 // div)
+        np.testing.assert_array_equal(out, reference_overlap_add(frames, 64 // div))
+
+    def test_adjoint_of_framing(self):
+        cfg = StftConfig(window_len=32, hop=8)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(100)
+        patches = frame_signal(x, cfg)
+        z = rng.standard_normal(patches.shape)
+        left = cfg.window_len - cfg.hop
+        back = overlap_add(z, cfg.hop)[left : left + x.shape[0]]
+        assert np.vdot(patches, z) == pytest.approx(np.vdot(x, back), rel=1e-12)
 
 
 class TestHelpers:

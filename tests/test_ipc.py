@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ipclr.denoise import estimate_if_for
 from ipclr.frames import (
     StftConfig,
     canonical_tight_window,
@@ -10,7 +11,8 @@ from ipclr.frames import (
 )
 from ipclr.ifreq import IfMap, estimate_if
 from ipclr.ipc import build_corrector, ipc_istft, ipc_stft
-from ipclr.signals import SignalBuffer
+from ipclr.signals import SignalBuffer, add_noise_at_snr
+from ipclr.experiments import default_signal
 
 CFG = StftConfig(window_len=1024, hop=256)
 
@@ -20,6 +22,26 @@ def separated_exponential_sum(n, window_len):
     comps = [(3.0, 100, 0.3), (2.0, 260, 1.1), (1.0, 420, 2.0)]
     l = np.arange(n)
     return sum(A * np.exp(2j * np.pi * f * l / window_len + 1j * ph) for A, f, ph in comps)
+
+
+def recurrence_corrector(v):
+    """Reference: the per-frame running product, renormalized every frame."""
+    a, L = v.config.hop, v.config.window_len
+    step = np.exp(-2j * np.pi * v.values * a / L)
+    E = np.empty(v.values.shape, dtype=np.complex128)
+    E[:, 0] = 1.0
+    for tau in range(1, v.values.shape[1]):
+        col = E[:, tau - 1] * step[:, tau - 1]
+        E[:, tau] = col / np.abs(col)
+    return E
+
+
+@pytest.fixture(scope="module")
+def denoiser_if_map():
+    """IF of a noisy real signal at the denoiser geometry (4096 x 43)."""
+    cfg = StftConfig(window_len=4096, hop=1024, window_kind="hann_tight")
+    noisy = add_noise_at_snr(default_signal(duration_s=2.56), 10.0, seed=0)
+    return estimate_if_for(noisy, cfg)
 
 
 def estimated_corrector(x, config):
@@ -51,7 +73,19 @@ class TestBuildCorrector:
         rng = np.random.default_rng(1)
         v = IfMap(rng.uniform(0, 512, (64, 200)), CFG)
         E = build_corrector(v).E
-        np.testing.assert_allclose(np.abs(E), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(E), 1.0, atol=1e-15)
+
+    def test_matches_recurrence(self, denoiser_if_map):
+        E = build_corrector(denoiser_if_map).E
+        assert E.shape == (4096, 43)
+        np.testing.assert_allclose(E, recurrence_corrector(denoiser_if_map), rtol=0, atol=1e-9)
+
+    def test_conjugate_symmetric_for_real_signal(self, denoiser_if_map):
+        E = build_corrector(denoiser_if_map).E
+        mirror = (-np.arange(E.shape[0])) % E.shape[0]
+        np.testing.assert_allclose(E[mirror], np.conj(E), rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(E[0], np.ones(E.shape[1]))
+        np.testing.assert_allclose(E[E.shape[0] // 2].imag, 0.0, atol=1e-15)
 
     def test_rejects_non_finite(self):
         v = IfMap(np.zeros((4, 4)), CFG)

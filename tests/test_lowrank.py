@@ -138,6 +138,54 @@ class TestSvt:
                 assert f_star <= f + 1e-10
 
 
+def svd_reference_svt(m, t):
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    return (u * np.maximum(s - t, 0.0)) @ vh
+
+
+def gram_cases():
+    """(name, matrix): real/complex, tall/wide, rank-deficient, denoiser shape."""
+    rng = np.random.default_rng(12)
+    low = random_complex(rng, (200, 5)) @ random_complex(rng, (5, 30))
+    return [
+        ("real-tall", rng.standard_normal((60, 12))),
+        ("real-wide", rng.standard_normal((9, 70))),
+        ("complex-tall", random_complex(rng, (50, 20))),
+        ("complex-wide", random_complex(rng, (7, 40))),
+        ("rank5-of-30", low),
+        ("rank5-of-30-wide", low.T),
+        ("denoiser-4096x43", rng.standard_normal((4096, 43))),
+    ]
+
+
+def gram_delta(m, s_max):
+    """The docstring's Gram eigenvalue error n * eps * sigma_max**2."""
+    return min(m.shape) * np.finfo(np.float64).eps * s_max**2
+
+
+class TestGramRoute:
+    """svt and nuclear_norm against the LAPACK SVD, within the docstring bounds."""
+
+    @pytest.mark.parametrize("name, m", gram_cases())
+    @pytest.mark.parametrize("ratio", [1e-4, 1e-2, 0.3, 0.9, 1.5])
+    def test_svt_matches_svd(self, name, m, ratio):
+        s = np.linalg.svd(m, compute_uv=False)
+        t = ratio * s[0]
+        n_eps = min(m.shape) * np.finfo(np.float64).eps
+        bound = gram_delta(m, s[0]) / t + n_eps * s[0]
+        err = np.linalg.norm(svt(m, t) - svd_reference_svt(m, t), 2)
+        assert err <= bound, (name, ratio, err / bound)
+        assert np.iscomplexobj(svt(m, t)) == np.iscomplexobj(m)
+
+    @pytest.mark.parametrize("name, m", gram_cases())
+    def test_nuclear_norm_matches_svd(self, name, m):
+        s = np.linalg.svd(m, compute_uv=False)
+        delta = gram_delta(m, s[0])
+        per_value = np.minimum(np.sqrt(delta), delta / np.maximum(s, 1e-300))
+        bound = per_value.sum() + min(m.shape) * np.finfo(np.float64).eps * s.sum()
+        assert abs(nuclear_norm(m) - s.sum()) <= bound, name
+
+
 class TestSinusoidRank:
     def test_rank_matches_component_count(self):
         # Three separated on-grid complex sinusoids: truncation at k=3 is
