@@ -3,9 +3,10 @@ approximation sweeps, and the nuclear-norm denoiser.
 
 Option precedence is flags > config file > defaults; the config file is a
 flat ``key = value`` text format whose keys match the long option names
-with dashes replaced by underscores.  Exit codes: 0 success, 1 validation
-error, 2 numerical failure.  The IPCLR_THREADS environment variable caps
-sweep parallelism.
+with dashes replaced by underscores.  The group hands the file to click as
+every command's default map, so file values are converted and validated
+like flags; repeatable options (``--freq``, ``--amp``) come from flags only.
+Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import experiments
+from . import experiments, frames
 from .denoise import AdmmParams, NumericalError, denoise, estimate_if_for, lambda_sweep
-from .frames import StftConfig, analysis_window, hann_window, istft, one_sided, stft
+from .frames import StftConfig, analysis_window, hann_window, istft, stft
 from .io import read_wav, write_matrix_csv, write_wav
 from .ipc import build_corrector, ipc_istft, ipc_stft  # ipc_istft: wrapped by perfbench
 from .lowrank import rank_k_approx
@@ -31,6 +32,8 @@ from .signals import (
     snr_db,
     synth_sinusoid_sum,
 )
+
+INPUT_FILE = click.Path(exists=True, dir_okay=False)
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -46,32 +49,6 @@ def _load_config(path: str | None) -> dict[str, str]:
         key, value = line.split("=", 1)
         conf[key.strip().replace("-", "_")] = value.strip()
     return conf
-
-
-def _with_config(ctx: click.Context, **values):
-    """Apply config-file values for options left at their defaults."""
-    conf = (ctx.obj or {}).get("config", {})
-    out = {}
-    for name, current in values.items():
-        source = ctx.get_parameter_source(name)
-        if name in conf and source != click.core.ParameterSource.COMMANDLINE:
-            raw = conf[name]
-            if isinstance(current, bool):
-                out[name] = raw.lower() in ("1", "true", "yes", "on")
-            elif isinstance(current, int) and not isinstance(current, bool):
-                out[name] = int(raw)
-            elif isinstance(current, float):
-                out[name] = float(raw)
-            else:
-                out[name] = raw
-        else:
-            out[name] = current
-    return out
-
-
-def _require_file(path: str):
-    if not Path(path).is_file():
-        raise click.UsageError(f"input file not found: {path}")
 
 
 def _outdir(path: str) -> Path:
@@ -98,14 +75,18 @@ def _format_db(value: float) -> str:
 
 
 @click.group()
-@click.option("--config", "config_path", type=click.Path(), default=None,
+@click.option("--config", type=INPUT_FILE, default=None,
               help="Flat key=value config file (flags take precedence).")
 @click.pass_context
-def cli(ctx: click.Context, config_path: str | None):
+def cli(ctx: click.Context, config: str | None):
     """Phase-corrected low-rank spectrogram tools."""
-    if config_path:
-        _require_file(config_path)
-    ctx.obj = {"config": _load_config(config_path)}
+    conf = _load_config(config)
+    # Options only: click would also fill positional arguments from the map.
+    ctx.default_map = {
+        name: {p.name: conf[p.name] for p in command.params
+               if isinstance(p, click.Option) and p.name in conf}
+        for name, command in cli.commands.items()
+    }
 
 
 @cli.command("synth")
@@ -113,9 +94,9 @@ def cli(ctx: click.Context, config_path: str | None):
               help="Number of harmonics in the default recipe.")
 @click.option("--base-freq", default=100.0, show_default=True,
               help="Fundamental frequency in Hz for the default recipe.")
-@click.option("--freq", "freqs", multiple=True, type=float,
+@click.option("--freq", multiple=True, type=float,
               help="Explicit frequency in Hz (repeatable; overrides the recipe).")
-@click.option("--amp", "amps", multiple=True, type=float,
+@click.option("--amp", multiple=True, type=float,
               help="Amplitude per explicit frequency (repeatable).")
 @click.option("--duration", default=1.0, show_default=True, help="Duration in seconds.")
 @click.option("--rate", default=16000.0, show_default=True, help="Sample rate in Hz.")
@@ -126,34 +107,31 @@ def cli(ctx: click.Context, config_path: str | None):
                    "(same scale with or without --snr, so clean/noisy pairs "
                    "stay comparable).")
 @click.option("-o", "--output", default="signal.wav", show_default=True)
-@click.pass_context
-def cmd_synth(ctx, count, base_freq, freqs, amps, duration, rate, snr, seed,
-              normalize, output):
+def cmd_synth(count, base_freq, freq, amp, duration, rate, snr, seed, normalize,
+              output):
     """Synthesize a sum-of-sinusoids WAV, optionally with seeded noise."""
-    p = _with_config(ctx, count=count, base_freq=base_freq, duration=duration,
-                     rate=rate, snr=snr, seed=seed)
-    if not p["duration"] > 0:
+    if not duration > 0:
         raise click.UsageError("duration must be positive")
-    if freqs:
-        if amps and len(amps) != len(freqs):
+    if freq:
+        if amp and len(amp) != len(freq):
             raise click.UsageError("--amp count must match --freq count")
-        amplitudes = amps or [1.0] * len(freqs)
-        specs = [SinusoidSpec(a, f) for a, f in zip(amplitudes, freqs)]
+        amplitudes = amp or [1.0] * len(freq)
+        specs = [SinusoidSpec(a, f) for a, f in zip(amplitudes, freq)]
     else:
-        specs = experiments.harmonic_specs(p["count"], p["base_freq"])
-    signal = synth_sinusoid_sum(specs, p["duration"], p["rate"])
+        specs = experiments.harmonic_specs(count, base_freq)
+    signal = synth_sinusoid_sum(specs, duration, rate)
     if normalize:
         peak = float(np.max(np.abs(signal.samples)))
         if peak > 0:
             signal = SignalBuffer(signal.samples * (0.9 / peak), signal.sample_rate_hz)
-    if not math.isinf(p["snr"]):
-        signal = add_noise_at_snr(signal, p["snr"], p["seed"])
+    if not math.isinf(snr):
+        signal = add_noise_at_snr(signal, snr, seed)
     write_wav(signal, output, format="float32")
     click.echo(f"wrote {output} ({len(signal)} samples at {signal.sample_rate_hz:g} Hz)")
 
 
 @cli.command("spectrogram")
-@click.argument("input_wav", type=click.Path())
+@click.argument("input_wav", type=INPUT_FILE)
 @click.option("--window-len", default=4096, show_default=True)
 @click.option("--shift-div", default=4, show_default=True,
               help="Hop is window-len divided by this.")
@@ -161,31 +139,27 @@ def cmd_synth(ctx, count, base_freq, freqs, amps, duration, rate, snr, seed,
               type=click.Choice(["valid", "cover"]))
 @click.option("--ipc/--no-ipc", default=False, show_default=True,
               help="Also export the phase-corrected spectrogram and IF map.")
-@click.option("--one-sided/--two-sided", "half", default=True, show_default=True)
+@click.option("--one-sided/--two-sided", default=True, show_default=True)
 @click.option("-o", "--outdir", default="spectrogram_out", show_default=True)
-@click.pass_context
-def cmd_spectrogram(ctx, input_wav, window_len, shift_div, framing, ipc, half, outdir):
+def cmd_spectrogram(input_wav, window_len, shift_div, framing, ipc, one_sided, outdir):
     """Export amplitude/complex spectrogram CSVs (and IF map with --ipc)."""
-    p = _with_config(ctx, window_len=window_len, shift_div=shift_div,
-                     framing=framing, ipc=ipc)
-    _require_file(input_wav)
-    config = _stft_config(p["window_len"], p["shift_div"])
+    config = _stft_config(window_len, shift_div)
     signal = read_wav(input_wav)
-    spec = stft(signal, config, hann_window(config.window_len), framing=p["framing"])
-    data = one_sided(spec.data) if half else spec.data
+    spec = stft(signal, config, hann_window(config.window_len), framing=framing)
+    rows = frames.one_sided if one_sided else np.asarray
+    data = rows(spec.data)
     out = _outdir(outdir)
     stem = Path(input_wav).stem
     write_matrix_csv(np.abs(data), out / f"{stem}_amplitude.csv")
     write_matrix_csv(data, out / f"{stem}_complex.csv")
     written = 2
-    if p["ipc"]:
-        if_map = estimate_if_for(signal, config) if p["framing"] == "cover" else \
+    if ipc:
+        if_map = estimate_if_for(signal, config) if framing == "cover" else \
             experiments.estimate_if_valid(signal, config)
         corrector = build_corrector(if_map)
-        corrected = ipc_stft(spec, corrector).data
-        corrected = one_sided(corrected) if half else corrected
+        corrected = rows(ipc_stft(spec, corrector).data)
         write_matrix_csv(corrected, out / f"{stem}_ipc.csv")
-        values = one_sided(if_map.values) if half else if_map.values
+        values = rows(if_map.values)
         write_matrix_csv(values, out / f"{stem}_if.csv")
         written += 2
         deviation = np.abs(corrected - corrected[:, :1]).max()
@@ -196,51 +170,43 @@ def cmd_spectrogram(ctx, input_wav, window_len, shift_div, framing, ipc, half, o
 
 
 @cli.command("lowrank")
-@click.argument("input_wav", type=click.Path())
+@click.argument("input_wav", type=INPUT_FILE)
 @click.option("--k", default=1, show_default=True, help="Approximation rank.")
 @click.option("--representation", default="ipc", show_default=True,
               type=click.Choice(list(experiments.REPRESENTATIONS)))
 @click.option("--window-len", default=4096, show_default=True)
 @click.option("--shift-div", default=4, show_default=True)
-@click.option("--clean", "clean_wav", type=click.Path(), default=None,
+@click.option("--clean", type=INPUT_FILE, default=None,
               help="Clean reference WAV; defaults to the input itself.")
 @click.option("--if-source", default="clean", show_default=True,
               type=click.Choice(["clean", "noisy"]))
 @click.option("-o", "--output", default=None,
               help="Write the rank-k reconstruction (tight window, cover framing).")
-@click.pass_context
-def cmd_lowrank(ctx, input_wav, k, representation, window_len, shift_div,
-                clean_wav, if_source, output):
+def cmd_lowrank(input_wav, k, representation, window_len, shift_div, clean,
+                if_source, output):
     """Rank-k approximation SNR of one spectrogram representation."""
-    p = _with_config(ctx, k=k, representation=representation,
-                     window_len=window_len, shift_div=shift_div,
-                     if_source=if_source)
-    _require_file(input_wav)
-    if clean_wav:
-        _require_file(clean_wav)
-    if p["k"] < 1:
+    if k < 1:
         raise click.UsageError("k must be at least 1")
     observed = read_wav(input_wav)
-    clean = read_wav(clean_wav) if clean_wav else observed
+    clean = read_wav(clean) if clean else observed
     if len(clean) != len(observed):
         raise click.UsageError("clean reference length must match the input")
-    config = experiments.analysis_config(p["window_len"], p["shift_div"])
+    config = experiments.analysis_config(window_len, shift_div)
 
     w = hann_window(config.window_len)
-    x_clean = one_sided(stft(clean, config, w, framing="valid").data)
-    x_obs = one_sided(stft(observed, config, w, framing="valid").data)
-    if p["k"] > min(x_obs.shape):
+    x_clean = frames.one_sided(stft(clean, config, w, framing="valid").data)
+    x_obs = frames.one_sided(stft(observed, config, w, framing="valid").data)
+    if k > min(x_obs.shape):
         raise click.UsageError(f"k exceeds the spectrogram rank bound {min(x_obs.shape)}")
-    if_signal = clean if p["if_source"] == "clean" else observed
-    m, back = experiments.represent(x_obs, p["representation"], if_signal, config)
-    value = snr_db(x_clean, back(rank_k_approx(m, p["k"])))
-    click.echo(f"representation={p['representation']} shift=1/{p['shift_div']} "
-               f"k={p['k']} spectrogram SNR = {_format_db(value)} dB")
+    if_signal = clean if if_source == "clean" else observed
+    m, back = experiments.represent(x_obs, representation, if_signal, config)
+    value = snr_db(x_clean, back(rank_k_approx(m, k)))
+    click.echo(f"representation={representation} shift=1/{shift_div} "
+               f"k={k} spectrogram SNR = {_format_db(value)} dB")
 
     if output:
-        tight_cfg = _stft_config(p["window_len"], p["shift_div"], tight=True)
-        recon = _reconstruct_rank_k(observed, if_signal, tight_cfg,
-                                    p["representation"], p["k"])
+        tight_cfg = _stft_config(window_len, shift_div, tight=True)
+        recon = _reconstruct_rank_k(observed, if_signal, tight_cfg, representation, k)
         write_wav(recon, output, format="float32")
         click.echo(f"time-domain SNR vs clean = "
                    f"{_format_db(snr_db(clean, recon))} dB; wrote {output}")
@@ -266,23 +232,18 @@ def _reconstruct_rank_k(observed: SignalBuffer, if_signal: SignalBuffer,
 @click.option("--if-source", default="clean", show_default=True,
               type=click.Choice(["clean", "noisy"]))
 @click.option("-o", "--outdir", default="table1_out", show_default=True)
-@click.pass_context
-def cmd_table1(ctx, seeds, duration, count, window_len, noise_domain, if_source,
-               outdir):
+def cmd_table1(seeds, duration, count, window_len, noise_domain, if_source, outdir):
     """Rank-1 SNR table: representations x hops x input noise levels."""
-    p = _with_config(ctx, seeds=seeds, duration=duration, count=count,
-                     window_len=window_len, noise_domain=noise_domain,
-                     if_source=if_source)
-    if p["seeds"] < 1:
+    if seeds < 1:
         raise click.UsageError("seeds must be at least 1")
     spec = experiments.ExperimentSpec(
         kind="table1",
-        sinusoid_count=p["count"],
-        duration_s=p["duration"],
-        window_len=p["window_len"],
-        seeds=tuple(range(p["seeds"])),
-        noise_domain=p["noise_domain"],
-        if_source=p["if_source"],
+        sinusoid_count=count,
+        duration_s=duration,
+        window_len=window_len,
+        seeds=tuple(range(seeds)),
+        noise_domain=noise_domain,
+        if_source=if_source,
     )
     cells = experiments.run_table1(spec)
     out = _outdir(outdir)
@@ -321,26 +282,22 @@ def _write_cells_csv(cells, path):
 @click.option("--if-source", default="clean", show_default=True,
               type=click.Choice(["clean", "noisy"]))
 @click.option("-o", "--output", default="fig3.csv", show_default=True)
-@click.pass_context
-def cmd_fig3(ctx, count, noise, input_snr, k_max, k_min, duration, window_len,
+def cmd_fig3(count, noise, input_snr, k_max, k_min, duration, window_len,
              shift_div, seed, if_source, output):
     """Rank-k SNR curves per representation (CSV of representation,k,snr)."""
-    p = _with_config(ctx, count=count, input_snr=input_snr, k_max=k_max,
-                     k_min=k_min, duration=duration, window_len=window_len,
-                     shift_div=shift_div, seed=seed, if_source=if_source)
-    if not 1 <= p["k_min"] <= p["k_max"]:
+    if not 1 <= k_min <= k_max:
         raise click.UsageError("need 1 <= k-min <= k-max")
     spec = experiments.ExperimentSpec(
         kind="fig3",
-        sinusoid_count=p["count"],
-        duration_s=p["duration"],
-        window_len=p["window_len"],
-        shift_divisors=(p["shift_div"],),
-        seeds=(p["seed"],),
-        if_source=p["if_source"],
-        k_values=tuple(range(p["k_min"], p["k_max"] + 1)),
+        sinusoid_count=count,
+        duration_s=duration,
+        window_len=window_len,
+        shift_divisors=(shift_div,),
+        seeds=(seed,),
+        if_source=if_source,
+        k_values=tuple(range(k_min, k_max + 1)),
     )
-    cells = experiments.run_fig3(spec, p["input_snr"] if noise else None)
+    cells = experiments.run_fig3(spec, input_snr if noise else None)
     lines = ["representation,k,snr_db"]
     for c in cells:
         lines.append(f"{c.representation},{c.k},{c.snr_db!r}")
@@ -349,38 +306,31 @@ def cmd_fig3(ctx, count, noise, input_snr, k_max, k_min, duration, window_len,
 
 
 @cli.command("denoise")
-@click.argument("input_wav", type=click.Path())
+@click.argument("input_wav", type=INPUT_FILE)
 @click.option("--lam", default=1.0, show_default=True, help="Regularization weight.")
 @click.option("--rho", default=1.0, show_default=True, help="ADMM penalty.")
 @click.option("--iters", default=100, show_default=True)
 @click.option("--window-len", default=4096, show_default=True)
 @click.option("--shift-div", default=4, show_default=True)
-@click.option("--if-oracle", "oracle_wav", type=click.Path(), default=None,
+@click.option("--if-oracle", type=INPUT_FILE, default=None,
               help="Estimate the IF from this clean WAV instead of the input.")
-@click.option("--clean", "clean_wav", type=click.Path(), default=None,
+@click.option("--clean", type=INPUT_FILE, default=None,
               help="Clean reference for SNR reporting.")
 @click.option("-o", "--output", default="denoised.wav", show_default=True)
 @click.option("--convergence-csv", default=None,
               help="Write per-iteration objective/residual CSV here.")
-@click.pass_context
-def cmd_denoise(ctx, input_wav, lam, rho, iters, window_len, shift_div,
-                oracle_wav, clean_wav, output, convergence_csv):
+def cmd_denoise(input_wav, lam, rho, iters, window_len, shift_div, if_oracle, clean,
+                output, convergence_csv):
     """Nuclear-norm ADMM denoising of a WAV file."""
-    p = _with_config(ctx, lam=lam, rho=rho, iters=iters,
-                     window_len=window_len, shift_div=shift_div)
-    _require_file(input_wav)
-    for maybe in (oracle_wav, clean_wav):
-        if maybe:
-            _require_file(maybe)
     try:
-        params = AdmmParams(lam=p["lam"], rho=p["rho"], max_iter=p["iters"])
+        params = AdmmParams(lam=lam, rho=rho, max_iter=iters)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    config = _stft_config(p["window_len"], p["shift_div"], tight=True)
+    config = _stft_config(window_len, shift_div, tight=True)
     observed = read_wav(input_wav)
     if_map = None
-    if oracle_wav:
-        oracle = read_wav(oracle_wav)
+    if if_oracle:
+        oracle = read_wav(if_oracle)
         if len(oracle) != len(observed):
             raise click.UsageError("oracle WAV length must match the input")
         if_map = estimate_if_for(oracle, config)
@@ -388,8 +338,8 @@ def cmd_denoise(ctx, input_wav, lam, rho, iters, window_len, shift_div,
     write_wav(result, output, format="float32")
     click.echo(f"wrote {output}; final objective {state.objective_history[-1]:.6g}, "
                f"final primal residual {state.residual_history[-1]:.6g}")
-    if clean_wav:
-        clean = read_wav(clean_wav)
+    if clean:
+        clean = read_wav(clean)
         if len(clean) != len(observed):
             raise click.UsageError("clean WAV length must match the input")
         before = snr_db(clean, observed)
@@ -406,8 +356,8 @@ def cmd_denoise(ctx, input_wav, lam, rho, iters, window_len, shift_div,
 
 
 @cli.command("denoise-sweep")
-@click.argument("input_wav", type=click.Path())
-@click.argument("clean_wav", type=click.Path())
+@click.argument("input_wav", type=INPUT_FILE)
+@click.argument("clean_wav", type=INPUT_FILE)
 @click.option("--lam-min", default=1e-3, show_default=True)
 @click.option("--lam-max", default=1e3, show_default=True)
 @click.option("--lam-count", default=13, show_default=True)
@@ -415,31 +365,22 @@ def cmd_denoise(ctx, input_wav, lam, rho, iters, window_len, shift_div,
 @click.option("--iters", default=100, show_default=True)
 @click.option("--window-len", default=4096, show_default=True)
 @click.option("--shift-div", default=4, show_default=True)
-@click.option("--if-oracle", "oracle_wav", type=click.Path(), default=None)
+@click.option("--if-oracle", type=INPUT_FILE, default=None)
 @click.option("-o", "--output", default="sweep.csv", show_default=True)
 @click.option("--best-wav", default=None, help="Write the best-SNR output here.")
-@click.pass_context
-def cmd_denoise_sweep(ctx, input_wav, clean_wav, lam_min, lam_max, lam_count,
-                      rho, iters, window_len, shift_div, oracle_wav, output,
-                      best_wav):
+def cmd_denoise_sweep(input_wav, clean_wav, lam_min, lam_max, lam_count, rho, iters,
+                      window_len, shift_div, if_oracle, output, best_wav):
     """Regularization sweep on a log grid, scored against a clean reference."""
-    p = _with_config(ctx, lam_min=lam_min, lam_max=lam_max, lam_count=lam_count,
-                     rho=rho, iters=iters, window_len=window_len,
-                     shift_div=shift_div)
-    _require_file(input_wav)
-    _require_file(clean_wav)
-    if oracle_wav:
-        _require_file(oracle_wav)
-    if p["lam_count"] < 1 or not 0 < p["lam_min"] <= p["lam_max"]:
+    if lam_count < 1 or not 0 < lam_min <= lam_max:
         raise click.UsageError("need 0 < lam-min <= lam-max and lam-count >= 1")
     observed = read_wav(input_wav)
     clean = read_wav(clean_wav)
     if len(clean) != len(observed):
         raise click.UsageError("clean WAV length must match the input")
-    config = _stft_config(p["window_len"], p["shift_div"], tight=True)
-    grid = list(np.geomspace(p["lam_min"], p["lam_max"], p["lam_count"]))
-    params = AdmmParams(lam=grid[0], rho=p["rho"], max_iter=p["iters"])
-    if_map = estimate_if_for(read_wav(oracle_wav) if oracle_wav else observed, config)
+    config = _stft_config(window_len, shift_div, tight=True)
+    grid = list(np.geomspace(lam_min, lam_max, lam_count))
+    params = AdmmParams(lam=grid[0], rho=rho, max_iter=iters)
+    if_map = estimate_if_for(read_wav(if_oracle) if if_oracle else observed, config)
     rows = lambda_sweep(observed, clean, grid, params, config, if_map=if_map)
     lines = ["lam,snr_db,objective"]
     for row in rows:
@@ -450,7 +391,7 @@ def cmd_denoise_sweep(ctx, input_wav, clean_wav, lam_min, lam_max, lam_count,
                f"best lam={best.lam:.6g} -> {_format_db(best.snr_db)} dB")
     click.echo(f"wrote {output}")
     if best_wav:
-        params = AdmmParams(lam=best.lam, rho=p["rho"], max_iter=p["iters"])
+        params = AdmmParams(lam=best.lam, rho=rho, max_iter=iters)
         result, _ = denoise(observed, params, config, if_map=if_map)
         write_wav(result, best_wav, format="float32")
         click.echo(f"wrote {best_wav}")

@@ -21,15 +21,13 @@ drive the nuclear-norm denoiser.  Conventions shared by all of them:
 - the SNR of a cell compares the approximated observation against the
   clean spectrogram of the same representation pipeline.
 
-Cells are pure functions of their parameters; sweeps fan out over a
-thread pool capped by the IPCLR_THREADS environment variable.
+Cells are pure functions of their parameters and run one after another;
+the SVDs inside them use the threads of the BLAS library.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,23 +102,6 @@ class ExperimentSpec:
             raise ValueError("if_source must be 'clean' or 'noisy'")
 
 
-def _threads() -> int:
-    env = os.environ.get("IPCLR_THREADS", "")
-    if not env.strip():
-        return os.cpu_count() or 1
-    if not env.strip().isdigit() or int(env) < 1:
-        raise ValueError(f"IPCLR_THREADS must be a positive integer, got {env!r}")
-    return int(env)
-
-
-def _pmap(fn, items):
-    workers = min(_threads(), max(1, len(items)))
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def analysis_config(window_len: int, shift_divisor: int) -> StftConfig:
     return StftConfig(window_len=window_len, hop=window_len // shift_divisor)
 
@@ -189,7 +170,8 @@ def represent(
     if framing == "cover":
         e = build_corrector(estimate_if_for(if_signal, config)).E
     else:
-        e = one_sided(build_corrector(estimate_if_valid(if_signal, config)).E)
+        v = estimate_if_valid(if_signal, config)
+        e = build_corrector(IfMap(one_sided(v.values), config)).E
     return e * x, lambda m: np.conj(e) * m
 
 
@@ -224,30 +206,24 @@ def run_table1(spec: ExperimentSpec) -> list[RankCell]:
     and runs once (seed -1).
     """
     clean = default_signal(spec.sinusoid_count, spec.duration_s, spec.sample_rate_hz)
-    jobs: list[tuple[str, int, float | None, int]] = []
+    cells = []
     for representation in REPRESENTATIONS:
         for div in spec.shift_divisors:
-            for level in spec.input_snrs_db:
-                for seed in spec.seeds:
-                    jobs.append((representation, div, level, seed))
-            jobs.append((representation, div, None, -1))
-
-    def run(job):
-        representation, div, level, seed = job
-        config = analysis_config(spec.window_len, div)
-        value = rank_cell_snr(
-            clean,
-            config,
-            representation,
-            k=1,
-            input_snr_db=level,
-            seed=seed,
-            noise_domain=spec.noise_domain,
-            if_source=spec.if_source,
-        )
-        return RankCell(representation, div, level, 1, seed, value)
-
-    return _pmap(run, jobs)
+            config = analysis_config(spec.window_len, div)
+            noisy = [(level, seed) for level in spec.input_snrs_db for seed in spec.seeds]
+            for level, seed in noisy + [(None, -1)]:
+                value = rank_cell_snr(
+                    clean,
+                    config,
+                    representation,
+                    k=1,
+                    input_snr_db=level,
+                    seed=seed,
+                    noise_domain=spec.noise_domain,
+                    if_source=spec.if_source,
+                )
+                cells.append(RankCell(representation, div, level, 1, seed, value))
+    return cells
 
 
 def table1_layout(

@@ -125,12 +125,6 @@ class TestTable1AndFig3:
         assert (workdir / "ta" / "table1_cells.csv").read_bytes() == \
             (workdir / "tb" / "table1_cells.csv").read_bytes()
 
-    def test_bad_thread_count_exits_1(self, workdir, monkeypatch, capsys):
-        monkeypatch.setenv("IPCLR_THREADS", "abc")
-        assert main(["table1", "--seeds", "1", "--duration", "0.5",
-                     "--window-len", "512", "-o", "t1"]) == 1
-        assert "IPCLR_THREADS must be a positive integer" in capsys.readouterr().err
-
     def test_fig3_rows(self, workdir):
         rc = main(["fig3", "--k-min", "1", "--k-max", "1", "--duration", "0.5",
                    "--window-len", "512", "-o", "f3.csv"])
@@ -201,6 +195,34 @@ class TestConfigFile:
 
     def test_missing_config_rejected(self, workdir):
         assert main(["--config", "absent.txt", "synth"]) == 1
+
+    def test_config_sets_any_option(self, workdir):
+        (workdir / "conf.txt").write_text("output = c.wav\nduration = 0.25\n")
+        assert main(["--config", "conf.txt", "synth"]) == 0
+        assert len(read_wav(workdir / "c.wav")) == 4000
+
+    def test_config_choice_validated(self, workdir):
+        synth_pair(workdir)
+        (workdir / "conf.txt").write_text("if_source = bogus\n")
+        assert main(["--config", "conf.txt", "lowrank", "noisy.wav",
+                     "--window-len", "512", "--clean", "clean.wav"]) == 1
+
+    def test_config_boolean_validated(self, workdir):
+        synth_pair(workdir)
+        (workdir / "conf.txt").write_text("ipc = maybe\n")
+        assert main(["--config", "conf.txt", "spectrogram", "clean.wav",
+                     "--window-len", "512", "-o", "spec"]) == 1
+        assert not (workdir / "spec").exists()
+
+    def test_repeatable_option_from_flags_only(self, workdir):
+        (workdir / "conf.txt").write_text("freq = 440\n")
+        assert main(["--config", "conf.txt", "synth", "-o", "f.wav"]) == 1
+        assert not (workdir / "f.wav").exists()
+
+    def test_arguments_not_read_from_config(self, workdir):
+        synth_pair(workdir)
+        (workdir / "conf.txt").write_text("input_wav = clean.wav\n")
+        assert main(["--config", "conf.txt", "spectrogram", "-o", "spec"]) == 1
 
 
 class TestExitCodes:

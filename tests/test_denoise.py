@@ -179,6 +179,17 @@ class TestDenoise:
         corr = build_corrector(if_map)
         assert state.objective_history[-1] <= ipclr_objective(noisy, noisy, lam, corr, CFG)
 
+    @pytest.mark.parametrize("lam", [1e-12, 3.0, 100.0])
+    def test_final_objective_is_ipclr_objective(self, lam):
+        # The solver records the objective through the same forward map as
+        # ipclr_objective, so the two agree bit for bit on the last iterate.
+        cfg = StftConfig(window_len=512, hop=128, window_kind="hann_tight")
+        noisy = add_noise_at_snr(harmonic_signal(0.5), 10.0, seed=0)
+        if_map = estimate_if_for(noisy, cfg)
+        x, state = denoise(noisy, AdmmParams(lam=lam, max_iter=10), cfg, if_map=if_map)
+        objective = ipclr_objective(x, noisy, lam, build_corrector(if_map), cfg)
+        assert objective == state.objective_history[-1]
+
     def test_histories_finite_nonnegative(self, noisy_pair):
         _, noisy = noisy_pair
         _, state = denoise(noisy, AdmmParams(lam=2.0, max_iter=15), CFG)

@@ -1,9 +1,6 @@
-import re
-
 import numpy as np
 import pytest
 
-from ipclr import experiments
 from ipclr.experiments import (
     REPRESENTATIONS,
     ExperimentSpec,
@@ -105,19 +102,6 @@ class TestRepresent:
         np.testing.assert_allclose(back(m), x, rtol=0, atol=1e-12 * np.abs(x).max())
 
 
-class TestThreads:
-    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
-    def test_rejects_non_positive_integer(self, monkeypatch, value):
-        monkeypatch.setenv("IPCLR_THREADS", value)
-        message = f"IPCLR_THREADS must be a positive integer, got '{value}'"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            experiments._threads()
-
-    def test_accepts_positive_integer(self, monkeypatch):
-        monkeypatch.setenv("IPCLR_THREADS", "3")
-        assert experiments._threads() == 3
-
-
 class TestSweeps:
     def test_table1_cell_grid_complete(self):
         spec = ExperimentSpec(
@@ -131,17 +115,6 @@ class TestSweeps:
         assert len(layout) == 9
         for row in layout:
             assert set(row) == {"representation", "shift", "snr_in_10", "clean"}
-
-    def test_table1_threads_equivalent(self, monkeypatch):
-        spec = ExperimentSpec(
-            kind="table1", duration_s=0.5, window_len=512,
-            seeds=(0,), input_snrs_db=(10.0,), shift_divisors=(4,),
-        )
-        monkeypatch.setenv("IPCLR_THREADS", "1")
-        serial = run_table1(spec)
-        monkeypatch.setenv("IPCLR_THREADS", "2")
-        threaded = run_table1(spec)
-        assert serial == threaded
 
     def test_fig3_rows_per_k_and_representation(self):
         spec = ExperimentSpec(
