@@ -5,7 +5,8 @@ Option precedence is flags > config file > defaults; the config file is a
 flat ``key = value`` text format whose keys match the long option names
 with dashes replaced by underscores.  The group hands the file to click as
 every command's default map, so file values are converted and validated
-like flags; repeatable options (``--freq``, ``--amp``) come from flags only.
+like flags; repeatable options (``--freq``, ``--amp``) come from flags only,
+and a config key naming one is a usage error.
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
 
@@ -81,6 +82,12 @@ def _format_db(value: float) -> str:
 def cli(ctx: click.Context, config: str | None):
     """Phase-corrected low-rank spectrogram tools."""
     conf = _load_config(config)
+    repeatable = sorted(conf.keys() & {
+        p.name for command in cli.commands.values() for p in command.params
+        if isinstance(p, click.Option) and p.multiple})
+    if repeatable:
+        raise click.UsageError(f"{config}: key {repeatable[0]!r} names a repeatable "
+                               f"option; repeatable options come from flags only")
     # Options only: click would also fill positional arguments from the map.
     ctx.default_map = {
         name: {p.name: conf[p.name] for p in command.params
@@ -193,13 +200,13 @@ def cmd_lowrank(input_wav, k, representation, window_len, shift_div, clean,
         raise click.UsageError("clean reference length must match the input")
     config = experiments.analysis_config(window_len, shift_div)
 
-    w = hann_window(config.window_len)
-    x_clean = frames.one_sided(stft(clean, config, w, framing="valid").data)
-    x_obs = frames.one_sided(stft(observed, config, w, framing="valid").data)
+    x_clean = experiments.valid_spectrogram(clean, config)
+    x_obs = experiments.valid_spectrogram(observed, config)
     if k > min(x_obs.shape):
         raise click.UsageError(f"k exceeds the spectrogram rank bound {min(x_obs.shape)}")
     if_signal = clean if if_source == "clean" else observed
-    m, back = experiments.represent(x_obs, representation, if_signal, config)
+    e = experiments.ipc_corrector(if_signal, config) if representation == "ipc" else None
+    m, back = experiments.represent(x_obs, representation, e)
     value = snr_db(x_clean, back(rank_k_approx(m, k)))
     click.echo(f"representation={representation} shift=1/{shift_div} "
                f"k={k} spectrogram SNR = {_format_db(value)} dB")
@@ -218,7 +225,9 @@ def _reconstruct_rank_k(observed: SignalBuffer, if_signal: SignalBuffer,
     """Invertible-pipeline variant: rank-k in cover framing, then synthesis."""
     w = analysis_window(config)
     spec = stft(observed, config, w)
-    m, back = experiments.represent(spec.data, representation, if_signal, config, "cover")
+    e = (experiments.ipc_corrector(if_signal, config, "cover")
+         if representation == "ipc" else None)
+    m, back = experiments.represent(spec.data, representation, e)
     return istft(replace(spec, data=back(rank_k_approx(m, k))), w)
 
 

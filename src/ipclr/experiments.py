@@ -21,8 +21,14 @@ drive the nuclear-norm denoiser.  Conventions shared by all of them:
 - the SNR of a cell compares the approximated observation against the
   clean spectrogram of the same representation pipeline.
 
-Cells are pure functions of their parameters and run one after another;
-the SVDs inside them use the threads of the BLAS library.
+Cells are pure functions of their parameters.  ``run_table1`` shares the
+work they have in common: per hop it builds the clean spectrogram and the
+clean-signal corrector once, and per (hop, level, seed) one observation
+that all three representations truncate; only a corrector estimated from
+a noisy waveform is built per observation.  Table 1's cells are rank 1 and
+take the top singular pair from the Gram matrix (``rank_one_approx``);
+Fig. 3's rank-k curves factor each observation with the LAPACK ``svd``.
+Both use the threads of the BLAS library.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .frames import (
 )
 from .ifreq import IfMap, estimate_if
 from .ipc import build_corrector
-from .lowrank import svd
+from .lowrank import rank_one_approx, svd
 from .signals import (
     SignalBuffer,
     SinusoidSpec,
@@ -125,40 +131,54 @@ class RankCell:
     snr_db: float
 
 
+def valid_spectrogram(signal: SignalBuffer, config: StftConfig) -> np.ndarray:
+    """One-sided Hann spectrogram of ``signal`` in valid framing."""
+    return one_sided(stft(signal, config, hann_window(config.window_len), framing="valid").data)
+
+
 def observe(
     clean: SignalBuffer,
+    x_clean: np.ndarray,
     config: StftConfig,
     input_snr_db: float | None,
     seed: int,
     noise_domain: str,
-) -> tuple[np.ndarray, np.ndarray, SignalBuffer]:
-    """Return ``(x_clean, x_obs, observed_signal)``, one-sided in valid framing.
+) -> tuple[np.ndarray, SignalBuffer]:
+    """Return ``(x_obs, observed_signal)`` for the clean spectrogram ``x_clean``.
 
     ``input_snr_db=None`` observes the clean signal.  Bin-wise (``"tf"``) noise
     has no waveform, so the observed signal is then ``clean`` itself.
     """
-    w = hann_window(config.window_len)
-    x_clean = one_sided(stft(clean, config, w, framing="valid").data)
     if input_snr_db is None:
-        return x_clean, x_clean, clean
+        return x_clean, clean
     if noise_domain == "time":
         noisy = add_noise_at_snr(clean, input_snr_db, seed)
-        return x_clean, one_sided(stft(noisy, config, w, framing="valid").data), noisy
-    return x_clean, add_complex_noise_at_snr(x_clean, input_snr_db, seed), clean
+        return valid_spectrogram(noisy, config), noisy
+    return add_complex_noise_at_snr(x_clean, input_snr_db, seed), clean
+
+
+def ipc_corrector(
+    if_signal: SignalBuffer, config: StftConfig, framing: str = "valid"
+) -> np.ndarray:
+    """The phase corrector ``E`` from the IF map of ``if_signal``.
+
+    One-sided (rows 0..L/2) from ``estimate_if_valid`` for ``valid`` framing,
+    two-sided from ``denoise.estimate_if_for`` for ``cover``.
+    """
+    if framing == "cover":
+        return build_corrector(estimate_if_for(if_signal, config)).E
+    v = estimate_if_valid(if_signal, config)
+    return build_corrector(IfMap(one_sided(v.values), config)).E
 
 
 def represent(
-    x: np.ndarray,
-    representation: str,
-    if_signal: SignalBuffer,
-    config: StftConfig,
-    framing: str = "valid",
+    x: np.ndarray, representation: str, e: np.ndarray | None
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Return ``(matrix, back)``: what rank-k truncation acts on, and the map back.
 
     ``amplitude`` truncates ``|x|`` and restores the phase of ``x``; ``ipc``
-    truncates ``E * x`` with ``E`` from the IF map of ``if_signal``.  ``x`` is
-    one-sided for ``valid`` framing and two-sided for ``cover``.
+    truncates ``E * x`` with ``e`` from ``ipc_corrector`` in the framing of
+    ``x`` (the other representations ignore ``e``).
     """
     if representation == "amplitude":
         phase = np.exp(1j * np.angle(x))
@@ -167,12 +187,14 @@ def represent(
         return x, lambda m: m
     if representation != "ipc":
         raise ValueError(f"unknown representation: {representation!r}")
-    if framing == "cover":
-        e = build_corrector(estimate_if_for(if_signal, config)).E
-    else:
-        v = estimate_if_valid(if_signal, config)
-        e = build_corrector(IfMap(one_sided(v.values), config)).E
     return e * x, lambda m: np.conj(e) * m
+
+
+def _rank_one_snr(
+    x_clean: np.ndarray, x_obs: np.ndarray, representation: str, e: np.ndarray | None
+) -> float:
+    m, back = represent(x_obs, representation, e)
+    return snr_db(x_clean, back(rank_one_approx(m)))
 
 
 def rank_cell_snr(
@@ -185,45 +207,54 @@ def rank_cell_snr(
     noise_domain: str = "tf",
     if_source: str = "clean",
 ) -> float:
-    """SNR of the rank-k approximated observation against the clean spectrogram.
+    """SNR of the rank-1 approximated observation against the clean spectrogram.
 
+    One cell of ``run_table1``, computed through the same helpers.  ``k``
+    must be 1: the Gram route of ``rank_one_approx`` is accurate for the
+    top singular pair only, and ``run_fig3`` is the rank-k path.
     ``input_snr_db=None`` runs the noise-free cell.  All scoring happens on
     the one-sided half spectrum.  ``if_source="noisy"`` takes effect only
     with ``noise_domain="time"``: bin-wise noise has no waveform for the
     estimator to look at, so the phase correction then comes from the
     clean signal.
     """
-    x_clean, x_obs, observed = observe(clean, config, input_snr_db, seed, noise_domain)
+    if k != 1:
+        raise ValueError(
+            f"Table 1 cells are rank-1, got k={k}; run_fig3 is the rank-k path"
+        )
+    x_clean = valid_spectrogram(clean, config)
+    x_obs, observed = observe(clean, x_clean, config, input_snr_db, seed, noise_domain)
     if_signal = clean if if_source == "clean" else observed
-    m, back = represent(x_obs, representation, if_signal, config)
-    return snr_db(x_clean, back(svd(m).reconstruct(k)))
+    e = ipc_corrector(if_signal, config) if representation == "ipc" else None
+    return _rank_one_snr(x_clean, x_obs, representation, e)
 
 
 def run_table1(spec: ExperimentSpec) -> list[RankCell]:
     """Rank-1 SNR sweep over representations, hops, and input noise levels.
 
     Noisy cells are repeated per seed; the clean column is deterministic
-    and runs once (seed -1).
+    and runs once (seed -1).  Cells are computed hop by hop, sharing the
+    clean spectrogram and corrector of each hop and the observation of each
+    (level, seed), and returned ordered by representation, hop, then level
+    and seed, with the clean cell last.
     """
     clean = default_signal(spec.sinusoid_count, spec.duration_s, spec.sample_rate_hz)
-    cells = []
-    for representation in REPRESENTATIONS:
-        for div in spec.shift_divisors:
-            config = analysis_config(spec.window_len, div)
-            noisy = [(level, seed) for level in spec.input_snrs_db for seed in spec.seeds]
-            for level, seed in noisy + [(None, -1)]:
-                value = rank_cell_snr(
-                    clean,
-                    config,
-                    representation,
-                    k=1,
-                    input_snr_db=level,
-                    seed=seed,
-                    noise_domain=spec.noise_domain,
-                    if_source=spec.if_source,
+    noisy = [(level, seed) for level in spec.input_snrs_db for seed in spec.seeds]
+    cells: dict[str, list[RankCell]] = {r: [] for r in REPRESENTATIONS}
+    for div in spec.shift_divisors:
+        config = analysis_config(spec.window_len, div)
+        x_clean = valid_spectrogram(clean, config)
+        e_clean = ipc_corrector(clean, config)
+        for level, seed in noisy + [(None, -1)]:
+            x_obs, observed = observe(clean, x_clean, config, level, seed, spec.noise_domain)
+            if_signal = clean if spec.if_source == "clean" else observed
+            e = e_clean if if_signal is clean else ipc_corrector(if_signal, config)
+            for representation in REPRESENTATIONS:
+                value = _rank_one_snr(x_clean, x_obs, representation, e)
+                cells[representation].append(
+                    RankCell(representation, div, level, 1, seed, value)
                 )
-                cells.append(RankCell(representation, div, level, 1, seed, value))
-    return cells
+    return [cell for representation in REPRESENTATIONS for cell in cells[representation]]
 
 
 def table1_layout(
@@ -268,13 +299,14 @@ def run_fig3(spec: ExperimentSpec, input_snr_db: float | None) -> list[RankCell]
     div = spec.shift_divisors[0]
     config = analysis_config(spec.window_len, div)
     seed = spec.seeds[0] if spec.seeds else 0
-    x_clean, x_obs, observed = observe(clean, config, input_snr_db, seed, spec.noise_domain)
-    if_signal = clean if spec.if_source == "clean" else observed
+    x_clean = valid_spectrogram(clean, config)
+    x_obs, observed = observe(clean, x_clean, config, input_snr_db, seed, spec.noise_domain)
+    e = ipc_corrector(clean if spec.if_source == "clean" else observed, config)
     cell_seed = seed if input_snr_db is not None else -1
 
     cells = []
     for representation in REPRESENTATIONS:
-        m, back = represent(x_obs, representation, if_signal, config)
+        m, back = represent(x_obs, representation, e)
         factors = svd(m)
         for k in spec.k_values:
             value = snr_db(x_clean, back(factors.reconstruct(k)))

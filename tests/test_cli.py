@@ -214,10 +214,12 @@ class TestConfigFile:
                      "--window-len", "512", "-o", "spec"]) == 1
         assert not (workdir / "spec").exists()
 
-    def test_repeatable_option_from_flags_only(self, workdir):
+    def test_repeatable_option_from_flags_only(self, workdir, capsys):
         (workdir / "conf.txt").write_text("freq = 440\n")
         assert main(["--config", "conf.txt", "synth", "-o", "f.wav"]) == 1
         assert not (workdir / "f.wav").exists()
+        err = capsys.readouterr().err
+        assert "key 'freq'" in err and "repeatable options come from flags only" in err
 
     def test_arguments_not_read_from_config(self, workdir):
         synth_pair(workdir)

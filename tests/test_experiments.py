@@ -7,13 +7,18 @@ from ipclr.experiments import (
     analysis_config,
     default_signal,
     harmonic_specs,
+    ipc_corrector,
+    observe,
     rank_cell_snr,
     represent,
     run_fig3,
     run_table1,
     table1_layout,
+    valid_spectrogram,
 )
 from ipclr.frames import StftConfig, analysis_window, hann_window, one_sided, stft
+from ipclr.lowrank import svd
+from ipclr.signals import snr_db
 
 # Small geometry keeps these fast; the published-scale runs live in the
 # acceptance suite.  Window 1024 keeps the 100 Hz partials 6.4 bins apart,
@@ -76,6 +81,13 @@ class TestRankCell:
         with pytest.raises(ValueError):
             rank_cell_snr(sig, cfg, "cepstrum", k=1)
 
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    def test_rejects_rank_other_than_one(self, k):
+        sig = fast_signal()
+        cfg = analysis_config(FAST["window_len"], 4)
+        with pytest.raises(ValueError, match="rank-1.*run_fig3"):
+            rank_cell_snr(sig, cfg, "ipc", k=k)
+
     def test_time_noise_domain_runs(self):
         sig = fast_signal()
         cfg = analysis_config(FAST["window_len"], 4)
@@ -97,9 +109,48 @@ class TestRepresent:
         else:
             cfg = StftConfig(window_len=FAST["window_len"], hop=256, window_kind="hann_tight")
             x = stft(sig, cfg, analysis_window(cfg)).data
-        m, back = represent(x, representation, sig, cfg, framing)
+        m, back = represent(x, representation, ipc_corrector(sig, cfg, framing))
         assert m.shape == x.shape
         np.testing.assert_allclose(back(m), x, rtol=0, atol=1e-12 * np.abs(x).max())
+
+
+def svd_reference_cell(clean, config, cell, noise_domain, if_source):
+    """One Table 1 cell recomputed from scratch with the LAPACK SVD."""
+    x_clean = valid_spectrogram(clean, config)
+    x_obs, observed = observe(clean, x_clean, config, cell.input_snr_db, cell.seed,
+                              noise_domain)
+    e = ipc_corrector(clean if if_source == "clean" else observed, config)
+    m, back = represent(x_obs, cell.representation, e)
+    return snr_db(x_clean, back(svd(m).reconstruct(1)))
+
+
+@pytest.mark.parametrize("if_source", ["clean", "noisy"])
+@pytest.mark.parametrize("noise_domain", ["tf", "time"])
+class TestTable1SharedWork:
+    """run_table1 shares each hop's clean spectrogram, corrector and observations."""
+
+    SPEC = dict(kind="table1", duration_s=0.5, window_len=512, seeds=(0, 1))
+
+    def cells(self, noise_domain, if_source):
+        spec = ExperimentSpec(**self.SPEC, noise_domain=noise_domain, if_source=if_source)
+        return default_signal(3, 0.5), run_table1(spec)
+
+    def test_cells_equal_rank_cell_snr(self, noise_domain, if_source):
+        clean, cells = self.cells(noise_domain, if_source)
+        assert len(cells) == 3 * 3 * (3 * 2 + 1)
+        for c in cells:
+            config = analysis_config(512, c.shift_divisor)
+            assert c.snr_db == rank_cell_snr(
+                clean, config, c.representation, k=1, input_snr_db=c.input_snr_db,
+                seed=c.seed, noise_domain=noise_domain, if_source=if_source,
+            ), c
+
+    def test_cells_match_svd_reference(self, noise_domain, if_source):
+        clean, cells = self.cells(noise_domain, if_source)
+        for c in cells:
+            config = analysis_config(512, c.shift_divisor)
+            ref = svd_reference_cell(clean, config, c, noise_domain, if_source)
+            assert abs(c.snr_db - ref) <= 1e-9, c
 
 
 class TestSweeps:

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+from ipclr.experiments import (
+    REPRESENTATIONS,
+    analysis_config,
+    default_signal,
+    ipc_corrector,
+    observe,
+    represent,
+    valid_spectrogram,
+)
 from ipclr.frames import StftConfig, hann_window, stft
-from ipclr.lowrank import nuclear_norm, rank_k_approx, svd, svt
+from ipclr.lowrank import nuclear_norm, rank_k_approx, rank_one_approx, svd, svt
 from ipclr.signals import SignalBuffer
 
 
@@ -184,6 +193,63 @@ class TestGramRoute:
         per_value = np.minimum(np.sqrt(delta), delta / np.maximum(s, 1e-300))
         bound = per_value.sum() + min(m.shape) * np.finfo(np.float64).eps * s.sum()
         assert abs(nuclear_norm(m) - s.sum()) <= bound, name
+
+
+def gap_matrix(rng, shape, is_complex, ratio):
+    """Random matrix with sigma_1 = 1, sigma_2 = ratio, then falling to ratio/1000."""
+    k = min(shape)
+    draw = random_complex if is_complex else (lambda r, sh: r.standard_normal(sh))
+    q1 = np.linalg.qr(draw(rng, (shape[0], k)))[0]
+    q2 = np.linalg.qr(draw(rng, (shape[1], k)))[0]
+    s = ratio * np.geomspace(1.0, 1e-3, k)
+    s[0] = 1.0
+    return (q1 * s) @ q2.conj().T
+
+
+def rank_one_bound(m):
+    """The docstring's bound times sigma_1: the Gram term plus product rounding."""
+    s = np.linalg.svd(m, compute_uv=False)
+    n_eps = min(m.shape) * np.finfo(np.float64).eps
+    return n_eps * s[0] * (1.0 + s[0] ** 2 / (s[0] ** 2 - s[1] ** 2))
+
+
+class TestRankOneApprox:
+    """rank_one_approx against svd(m).reconstruct(1), within the docstring bound."""
+
+    @pytest.mark.parametrize("shape", [(300, 40), (40, 300), (2049, 79)])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 0.9, 0.99, 0.999])
+    def test_matches_svd(self, shape, is_complex, ratio):
+        m = gap_matrix(np.random.default_rng(13), shape, is_complex, ratio)
+        approx = rank_one_approx(m)
+        err = np.linalg.norm(approx - svd(m).reconstruct(1), 2)
+        assert err <= rank_one_bound(m), err / rank_one_bound(m)
+        assert np.iscomplexobj(approx) == is_complex
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("div", [2, 4, 8])
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
+    def test_matches_svd_on_table1_matrices(self, representation, div, noisy):
+        clean = default_signal(3, 0.5)
+        config = analysis_config(512, div)
+        x_clean = valid_spectrogram(clean, config)
+        x_obs, _ = observe(clean, x_clean, config, 10.0 if noisy else None, 0, "tf")
+        m, _ = represent(x_obs, representation, ipc_corrector(clean, config))
+        err = np.linalg.norm(rank_one_approx(m) - svd(m).reconstruct(1), 2)
+        assert err <= rank_one_bound(m), err / rank_one_bound(m)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5)])
+    def test_zero_matrix(self, shape):
+        np.testing.assert_array_equal(rank_one_approx(np.zeros(shape)), np.zeros(shape))
+        zero = np.zeros(shape, dtype=complex)
+        np.testing.assert_array_equal(rank_one_approx(zero), zero)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_like_svd(self, bad):
+        m = np.array([[bad, 0.0], [0.0, 1.0]])
+        for fn in (rank_one_approx, svd):
+            with pytest.raises(ValueError, match="NaN/Inf"):
+                fn(m)
 
 
 class TestSinusoidRank:
