@@ -176,13 +176,15 @@ def represent(
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Return ``(matrix, back)``: what rank-k truncation acts on, and the map back.
 
-    ``amplitude`` truncates ``|x|`` and restores the phase of ``x``; ``ipc``
-    truncates ``E * x`` with ``e`` from ``ipc_corrector`` in the framing of
-    ``x`` (the other representations ignore ``e``).
+    ``amplitude`` truncates ``|x|`` and restores the phase ``x / |x|`` of
+    ``x`` (1 where ``|x| = 0``, as ``np.angle(0) = 0``); ``ipc`` truncates
+    ``E * x`` with ``e`` from ``ipc_corrector`` in the framing of ``x`` (the
+    other representations ignore ``e``).
     """
     if representation == "amplitude":
-        phase = np.exp(1j * np.angle(x))
-        return np.abs(x), lambda m: m * phase
+        mag = np.abs(x)
+        phase = np.divide(x, mag, out=np.ones_like(x), where=mag != 0)
+        return mag, lambda m: m * phase
     if representation == "stft":
         return x, lambda m: m
     if representation != "ipc":

@@ -252,6 +252,13 @@ def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
 
 
 def one_sided(data: np.ndarray) -> np.ndarray:
-    """Rows 0..K/2 (inclusive) of a two-sided spectrogram matrix."""
+    """Rows 0..K/2 (inclusive) of a two-sided spectrogram matrix, C-contiguous.
+
+    ``stft`` transforms down the columns, so its output is column-major and
+    a row slice of it is neither C- nor F-contiguous.  The copy costs one
+    pass over the half spectrum; without it every elementwise operation,
+    reduction and matrix product on the one-sided matrix runs on strided
+    memory.
+    """
     data = np.asarray(data)
-    return data[: data.shape[0] // 2 + 1, :]
+    return np.ascontiguousarray(data[: data.shape[0] // 2 + 1, :])

@@ -146,16 +146,13 @@ def write_matrix_csv(m: np.ndarray, path: str | Path) -> None:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN/Inf entries")
     kind = "complex" if np.iscomplexobj(m) else "real"
+    if kind == "complex":
+        # Viewed as float64, each complex entry is its real/imaginary pair.
+        values = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+    else:
+        values = np.asarray(m, dtype=np.float64)
     lines = [f"# {m.shape[0]},{m.shape[1]},{kind}"]
-    for row in m:
-        if kind == "complex":
-            cells = []
-            for v in row:
-                cells.append(repr(float(v.real)))
-                cells.append(repr(float(v.imag)))
-        else:
-            cells = [repr(float(v)) for v in row]
-        lines.append(",".join(cells))
+    lines += [",".join(map(repr, row)) for row in values.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -166,6 +163,8 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
         raise ValueError(f"{path}: missing matrix header")
     rows, cols, kind = text[0].lstrip("# ").split(",")
     rows, cols = int(rows), int(cols)
+    if kind not in ("real", "complex"):
+        raise ValueError(f"{path}: unknown matrix kind {kind!r}")
     values = [[float(v) for v in line.split(",")] for line in text[1:]]
     arr = np.asarray(values)
     if kind == "complex":

@@ -114,6 +114,22 @@ class TestRepresent:
         np.testing.assert_allclose(back(m), x, rtol=0, atol=1e-12 * np.abs(x).max())
 
 
+    def test_valid_spectrogram_is_c_contiguous(self):
+        x = valid_spectrogram(fast_signal(), analysis_config(FAST["window_len"], 4))
+        assert x.flags.c_contiguous
+
+    def test_amplitude_round_trips_exact_zero_bins(self):
+        x = np.array([[0.0, 3 - 4j, -0.0], [0j, -2.0, 1j]])
+        m, back = represent(x, "amplitude", None)
+        restored = back(m)
+        assert np.all(np.isfinite(restored))
+        np.testing.assert_allclose(restored, x, rtol=1e-15, atol=0)
+        phase = back(np.ones(x.shape))
+        np.testing.assert_array_equal(phase[x == 0], 1.0)
+        np.testing.assert_allclose(phase, np.exp(1j * np.angle(np.where(x == 0, 0, x))),
+                                   rtol=0, atol=1e-15)
+
+
 def svd_reference_cell(clean, config, cell, noise_domain, if_source):
     """One Table 1 cell recomputed from scratch with the LAPACK SVD."""
     x_clean = valid_spectrogram(clean, config)

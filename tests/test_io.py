@@ -126,6 +126,42 @@ class TestWriteWav:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def elementwise_csv(m):
+    """CSV text of write_matrix_csv, formed entry by entry from numpy scalars."""
+    kind = "complex" if np.iscomplexobj(m) else "real"
+    lines = [f"# {m.shape[0]},{m.shape[1]},{kind}"]
+    for row in m:
+        if kind == "complex":
+            cells = []
+            for v in row:
+                cells.append(repr(float(v.real)))
+                cells.append(repr(float(v.imag)))
+        else:
+            cells = [repr(float(v)) for v in row]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _csv_cases():
+    rng = np.random.default_rng(21)
+    two_sided = np.fft.fft(rng.standard_normal((16, 5)), axis=0)
+    special = np.array([[-0.0, 5e-324, 1e16], [1e-5, -1e-5, 0.1]])
+    return {
+        "real": rng.standard_normal((4, 6)),
+        "complex": rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)),
+        "one-sided-view": two_sided[:9],
+        "transpose": (rng.standard_normal((5, 3)) - 1j * rng.standard_normal((5, 3))).T,
+        "special-real": special,
+        "special-complex": special + 1j * special[::-1],
+        "int": np.arange(6).reshape(2, 3),
+        "float32": rng.standard_normal((2, 3)).astype(np.float32),
+        "complex64": (1e-3 + 3j) * np.ones((2, 2), dtype=np.complex64),
+    }
+
+
+CSV_CASES = _csv_cases()
+
+
 class TestMatrixCsv:
     def test_identity_three_lines(self, tmp_path):
         p = tmp_path / "i.csv"
@@ -166,3 +202,16 @@ class TestMatrixCsv:
     def test_rejects_non_finite(self, tmp_path):
         with pytest.raises(ValueError):
             write_matrix_csv(np.array([[np.inf]]), tmp_path / "bad.csv")
+
+    @pytest.mark.parametrize("name", sorted(CSV_CASES))
+    def test_bytes_match_elementwise_writer(self, tmp_path, name):
+        m = CSV_CASES[name]
+        p = tmp_path / "m.csv"
+        write_matrix_csv(m, p)
+        assert p.read_text() == elementwise_csv(m)
+
+    def test_rejects_unknown_kind(self, tmp_path):
+        p = tmp_path / "bogus.csv"
+        p.write_text("# 2,2,bogus\n1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(ValueError, match="bogus.csv.*unknown matrix kind 'bogus'"):
+            read_matrix_csv(p)

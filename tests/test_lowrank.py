@@ -11,6 +11,7 @@ from ipclr.experiments import (
     valid_spectrogram,
 )
 from ipclr.frames import StftConfig, hann_window, stft
+from ipclr import lowrank
 from ipclr.lowrank import nuclear_norm, rank_k_approx, rank_one_approx, svd, svt
 from ipclr.signals import SignalBuffer
 
@@ -206,11 +207,28 @@ def gap_matrix(rng, shape, is_complex, ratio):
     return (q1 * s) @ q2.conj().T
 
 
+def flat_tail_matrix(rng, shape, is_complex, ratio):
+    """sigma_1 = 1, then every other singular value within 1% below sigma_2 = ratio."""
+    m = gap_matrix(rng, shape, is_complex, ratio)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    s[1:] = ratio * np.linspace(1.0, 0.99, s.shape[0] - 1)
+    return (u * s) @ vh
+
+
 def rank_one_bound(m):
     """The docstring's bound times sigma_1: the Gram term plus product rounding."""
     s = np.linalg.svd(m, compute_uv=False)
     n_eps = min(m.shape) * np.finfo(np.float64).eps
     return n_eps * s[0] * (1.0 + s[0] ** 2 / (s[0] ** 2 - s[1] ** 2))
+
+
+def table1_matrix(representation, div, noisy):
+    """The matrix a Table 1 cell truncates, at window 512 and 0.5 s (n = 30..118)."""
+    clean = default_signal(3, 0.5)
+    config = analysis_config(512, div)
+    x_clean = valid_spectrogram(clean, config)
+    x_obs, _ = observe(clean, x_clean, config, 10.0 if noisy else None, 0, "tf")
+    return represent(x_obs, representation, ipc_corrector(clean, config))[0]
 
 
 class TestRankOneApprox:
@@ -226,17 +244,34 @@ class TestRankOneApprox:
         assert err <= rank_one_bound(m), err / rank_one_bound(m)
         assert np.iscomplexobj(approx) == is_complex
 
+    @pytest.mark.parametrize("shape", [(300, 40), (40, 300)])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("ratio", [0.9, 0.999])
+    def test_matches_svd_on_flat_tail(self, shape, is_complex, ratio):
+        m = flat_tail_matrix(np.random.default_rng(14), shape, is_complex, ratio)
+        err = np.linalg.norm(rank_one_approx(m) - svd(m).reconstruct(1), 2)
+        assert err <= rank_one_bound(m), err / rank_one_bound(m)
+
     @pytest.mark.parametrize("noisy", [False, True])
     @pytest.mark.parametrize("div", [2, 4, 8])
     @pytest.mark.parametrize("representation", REPRESENTATIONS)
-    def test_matches_svd_on_table1_matrices(self, representation, div, noisy):
-        clean = default_signal(3, 0.5)
-        config = analysis_config(512, div)
-        x_clean = valid_spectrogram(clean, config)
-        x_obs, _ = observe(clean, x_clean, config, 10.0 if noisy else None, 0, "tf")
-        m, _ = represent(x_obs, representation, ipc_corrector(clean, config))
-        err = np.linalg.norm(rank_one_approx(m) - svd(m).reconstruct(1), 2)
+    def test_matches_svd_on_table1_matrices(self, representation, div, noisy, monkeypatch):
+        m = table1_matrix(representation, div, noisy)
+        expected = svd(m).reconstruct(1)
+        eigh = np.linalg.eigh
+
+        def block_sized_eigh(a, *args, **kwargs):
+            assert a.shape[-1] <= lowrank._BLOCK, a.shape
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", block_sized_eigh)
+        err = np.linalg.norm(rank_one_approx(m) - expected, 2)
         assert err <= rank_one_bound(m), err / rank_one_bound(m)
+
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
+    def test_repeats_bit_for_bit(self, representation):
+        m = table1_matrix(representation, 4, True)
+        np.testing.assert_array_equal(rank_one_approx(m), rank_one_approx(m.copy()))
 
     @pytest.mark.parametrize("shape", [(5, 3), (3, 5)])
     def test_zero_matrix(self, shape):

@@ -119,6 +119,11 @@ class TestAddNoise:
         with pytest.raises(ValueError, match="zero energy"):
             add_noise_at_snr(silent, 10.0, seed=0)
 
+    @pytest.mark.parametrize("target", [math.nan, -math.inf])
+    def test_rejects_nan_and_minus_inf_target(self, target):
+        with pytest.raises(ValueError, match=f"target_snr_db .* got {target}"):
+            add_noise_at_snr(self.clean, target, seed=0)
+
 
 class TestComplexNoise:
     def test_realized_snr_exact(self):
@@ -136,6 +141,21 @@ class TestComplexNoise:
     def test_infinite_target_is_identity(self):
         clean = np.ones((2, 3), dtype=complex)
         assert np.array_equal(add_complex_noise_at_snr(clean, math.inf, 0), clean)
+
+    @pytest.mark.parametrize("target", [math.nan, -math.inf])
+    def test_rejects_nan_and_minus_inf_target(self, target):
+        clean = np.ones((2, 3), dtype=complex)
+        with pytest.raises(ValueError, match=f"target_snr_db .* got {target}"):
+            add_complex_noise_at_snr(clean, target, 0)
+
+    def test_same_draws_as_two_real_arrays(self):
+        """The noise is the seed's real-part draw, then its imaginary-part draw."""
+        clean = np.arange(1.0, 13.0).reshape(3, 4) * (1 - 2j)
+        noisy = add_complex_noise_at_snr(clean, 0.0, seed=4)
+        rng = np.random.default_rng(4)
+        noise = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
+        scale = math.sqrt(np.sum(np.abs(clean) ** 2) / np.sum(np.abs(noise) ** 2))
+        np.testing.assert_allclose(noisy, clean + scale * noise, rtol=1e-14)
 
 
 class TestSnrDb:
