@@ -30,7 +30,7 @@ from .frames import (
     stft,
 )
 from .ifreq import IfMap, estimate_if
-from .ipc import PhaseCorrector, build_corrector, ipc_istft, ipc_stft
+from .ipc import build_corrector, ipc_istft, ipc_stft
 from .lowrank import SvdFactors, nuclear_norm, rank_k_approx, svd, svt
 from .signals import (
     SignalBuffer,
@@ -49,7 +49,6 @@ __all__ = [
     "IfMap",
     "LambdaSweepRow",
     "NumericalError",
-    "PhaseCorrector",
     "SignalBuffer",
     "SinusoidSpec",
     "Spectrogram",

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import experiments, frames
 from .denoise import AdmmParams, NumericalError, denoise, estimate_if_for, lambda_sweep
-from .frames import StftConfig, analysis_window, hann_window, istft, stft
+from .frames import StftConfig, analysis_window, derivative_window, hann_window, istft, stft
+from .ifreq import estimate_if
 from .io import read_wav, write_matrix_csv, write_wav
 from .ipc import build_corrector, ipc_istft, ipc_stft  # ipc_istft: wrapped by perfbench
 from .lowrank import rank_k_approx
@@ -152,22 +153,20 @@ def cmd_spectrogram(input_wav, window_len, shift_div, framing, ipc, one_sided, o
     """Export amplitude/complex spectrogram CSVs (and IF map with --ipc)."""
     config = _stft_config(window_len, shift_div)
     signal = read_wav(input_wav)
-    spec = stft(signal, config, hann_window(config.window_len), framing=framing)
-    rows = frames.one_sided if one_sided else np.asarray
-    data = rows(spec.data)
+    rows = frames.one_sided if one_sided else (lambda spec: spec)
+    spec = rows(stft(signal, config, hann_window(config.window_len), framing=framing))
     out = _outdir(outdir)
     stem = Path(input_wav).stem
-    write_matrix_csv(np.abs(data), out / f"{stem}_amplitude.csv")
-    write_matrix_csv(data, out / f"{stem}_complex.csv")
+    write_matrix_csv(np.abs(spec.data), out / f"{stem}_amplitude.csv")
+    write_matrix_csv(spec.data, out / f"{stem}_complex.csv")
     written = 2
     if ipc:
-        if_map = estimate_if_for(signal, config) if framing == "cover" else \
-            experiments.estimate_if_valid(signal, config)
-        corrector = build_corrector(if_map)
-        corrected = rows(ipc_stft(spec, corrector).data)
+        spec_wp = rows(stft(signal, config, derivative_window(config.window_len),
+                            framing=framing))
+        if_map = estimate_if(spec, spec_wp)
+        corrected = ipc_stft(spec, build_corrector(if_map)).data
         write_matrix_csv(corrected, out / f"{stem}_ipc.csv")
-        values = rows(if_map.values)
-        write_matrix_csv(values, out / f"{stem}_if.csv")
+        write_matrix_csv(if_map.values, out / f"{stem}_if.csv")
         written += 2
         deviation = np.abs(corrected - corrected[:, :1]).max()
         scale = np.abs(corrected).max()
@@ -222,11 +221,17 @@ def cmd_lowrank(input_wav, k, representation, window_len, shift_div, clean,
 def _reconstruct_rank_k(observed: SignalBuffer, if_signal: SignalBuffer,
                         config: StftConfig, representation: str,
                         k: int) -> SignalBuffer:
-    """Invertible-pipeline variant: rank-k in cover framing, then synthesis."""
+    """Invertible-pipeline variant: rank-k in cover framing, then synthesis.
+
+    Rank k acts on the two-sided matrix, so E is built two-sided too.
+    """
     w = analysis_window(config)
     spec = stft(observed, config, w)
-    e = (experiments.ipc_corrector(if_signal, config, "cover")
-         if representation == "ipc" else None)
+    e = None
+    if representation == "ipc":
+        L = config.window_len
+        e = build_corrector(estimate_if(stft(if_signal, config, hann_window(L)),
+                                        stft(if_signal, config, derivative_window(L))))
     m, back = experiments.represent(spec.data, representation, e)
     return istft(replace(spec, data=back(rank_k_approx(m, k))), w)
 

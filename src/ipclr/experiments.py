@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoise import estimate_if_for
 from .frames import (
     StftConfig,
     derivative_window,
@@ -75,12 +74,8 @@ def harmonic_specs(count: int = 3, base_hz: float = BASE_FREQ_HZ) -> list[Sinuso
     ]
 
 
-def default_signal(
-    count: int = 3,
-    duration_s: float = TABLE_DURATION_S,
-    sample_rate_hz: float = SAMPLE_RATE_HZ,
-) -> SignalBuffer:
-    return synth_sinusoid_sum(harmonic_specs(count), duration_s, sample_rate_hz)
+def default_signal(count: int = 3, duration_s: float = TABLE_DURATION_S) -> SignalBuffer:
+    return synth_sinusoid_sum(harmonic_specs(count), duration_s, SAMPLE_RATE_HZ)
 
 
 @dataclass(frozen=True)
@@ -90,7 +85,6 @@ class ExperimentSpec:
     kind: str
     sinusoid_count: int = 3
     duration_s: float = TABLE_DURATION_S
-    sample_rate_hz: float = SAMPLE_RATE_HZ
     window_len: int = WINDOW_LEN
     shift_divisors: tuple[int, ...] = SHIFT_DIVISORS
     input_snrs_db: tuple[float, ...] = INPUT_SNRS_DB
@@ -113,9 +107,9 @@ def analysis_config(window_len: int, shift_divisor: int) -> StftConfig:
 
 
 def estimate_if_valid(signal: SignalBuffer, config: StftConfig) -> IfMap:
-    """IF map under the Hann/derivative pair in valid framing."""
-    s_w = stft(signal, config, hann_window(config.window_len), framing="valid")
-    s_wp = stft(signal, config, derivative_window(config.window_len), framing="valid")
+    """One-sided IF map of a real signal under the Hann/derivative pair in valid framing."""
+    s_w = one_sided(stft(signal, config, hann_window(config.window_len), framing="valid"))
+    s_wp = one_sided(stft(signal, config, derivative_window(config.window_len), framing="valid"))
     return estimate_if(s_w, s_wp)
 
 
@@ -133,7 +127,7 @@ class RankCell:
 
 def valid_spectrogram(signal: SignalBuffer, config: StftConfig) -> np.ndarray:
     """One-sided Hann spectrogram of ``signal`` in valid framing."""
-    return one_sided(stft(signal, config, hann_window(config.window_len), framing="valid").data)
+    return one_sided(stft(signal, config, hann_window(config.window_len), framing="valid")).data
 
 
 def observe(
@@ -157,18 +151,9 @@ def observe(
     return add_complex_noise_at_snr(x_clean, input_snr_db, seed), clean
 
 
-def ipc_corrector(
-    if_signal: SignalBuffer, config: StftConfig, framing: str = "valid"
-) -> np.ndarray:
-    """The phase corrector ``E`` from the IF map of ``if_signal``.
-
-    One-sided (rows 0..L/2) from ``estimate_if_valid`` for ``valid`` framing,
-    two-sided from ``denoise.estimate_if_for`` for ``cover``.
-    """
-    if framing == "cover":
-        return build_corrector(estimate_if_for(if_signal, config)).E
-    v = estimate_if_valid(if_signal, config)
-    return build_corrector(IfMap(one_sided(v.values), config)).E
+def ipc_corrector(if_signal: SignalBuffer, config: StftConfig) -> np.ndarray:
+    """The one-sided phase corrector ``E`` from ``estimate_if_valid``."""
+    return build_corrector(estimate_if_valid(if_signal, config))
 
 
 def represent(
@@ -178,8 +163,8 @@ def represent(
 
     ``amplitude`` truncates ``|x|`` and restores the phase ``x / |x|`` of
     ``x`` (1 where ``|x| = 0``, as ``np.angle(0) = 0``); ``ipc`` truncates
-    ``E * x`` with ``e`` from ``ipc_corrector`` in the framing of ``x`` (the
-    other representations ignore ``e``).
+    ``E * x`` with a corrector ``e`` of the shape of ``x`` (the other
+    representations ignore ``e``).
     """
     if representation == "amplitude":
         mag = np.abs(x)
@@ -240,7 +225,7 @@ def run_table1(spec: ExperimentSpec) -> list[RankCell]:
     (level, seed), and returned ordered by representation, hop, then level
     and seed, with the clean cell last.
     """
-    clean = default_signal(spec.sinusoid_count, spec.duration_s, spec.sample_rate_hz)
+    clean = default_signal(spec.sinusoid_count, spec.duration_s)
     noisy = [(level, seed) for level in spec.input_snrs_db for seed in spec.seeds]
     cells: dict[str, list[RankCell]] = {r: [] for r in REPRESENTATIONS}
     for div in spec.shift_divisors:
@@ -297,7 +282,7 @@ def run_fig3(spec: ExperimentSpec, input_snr_db: float | None) -> list[RankCell]
 
     The SVD of each observation is factored once; truncations reuse it.
     """
-    clean = default_signal(spec.sinusoid_count, spec.duration_s, spec.sample_rate_hz)
+    clean = default_signal(spec.sinusoid_count, spec.duration_s)
     div = spec.shift_divisors[0]
     config = analysis_config(spec.window_len, div)
     seed = spec.seeds[0] if spec.seeds else 0

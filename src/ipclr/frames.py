@@ -5,8 +5,8 @@ The transform follows the windowed-DFT convention
     S[xi, tau] = sum_l x[l + a*tau] * w[l] * exp(-2j*pi*xi*l/L)
 
 with window_len two-sided bins on the exact DFT grid (K = L rows,
-xi = 0..L-1) and an unnormalized DFT.  Two deterministic framing rules
-are supported:
+xi = 0..L-1) and an unnormalized DFT; ``one_sided`` keeps rows 0..L/2,
+which hold all of a real signal's transform.  Two framing rules exist:
 
 ``cover``
     The signal is zero-padded by L - a samples on the left and enough on
@@ -25,7 +25,7 @@ are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,9 +64,9 @@ class StftConfig:
 class Spectrogram:
     """Complex K x T matrix plus the configuration that produced it.
 
-    ``origin_len`` is the pre-padding signal length; ``framing`` records
-    which framing rule built the matrix.  Values are treated as immutable
-    after construction.
+    K is L (two-sided) or L/2+1 (``one_sided``).  ``origin_len`` is the
+    pre-padding signal length; ``framing`` records which framing rule built
+    the matrix.  Values are treated as immutable after construction.
     """
 
     data: np.ndarray
@@ -79,8 +79,8 @@ class Spectrogram:
         data = np.asarray(self.data, dtype=np.complex128)
         if data.ndim != 2:
             raise ValueError("spectrogram data must be a 2-D matrix")
-        if data.shape[0] != self.config.window_len:
-            raise ValueError("row count must equal window_len")
+        if data.shape[0] not in (self.config.window_len, self.config.window_len // 2 + 1):
+            raise ValueError("row count must be window_len or window_len // 2 + 1")
         if self.framing not in FRAMINGS:
             raise ValueError(f"unknown framing: {self.framing!r}")
         object.__setattr__(self, "data", data)
@@ -220,12 +220,14 @@ def istft(spec: Spectrogram, w_synth: np.ndarray) -> SignalBuffer:
     For the canonical tight window as both analysis and synthesis window
     this reconstructs the original samples exactly (up to roundoff); it is
     also the adjoint of :func:`stft` restricted to real signals, which the
-    ADMM solver relies on.
+    ADMM solver relies on.  The spectrogram must be two-sided.
     """
     if spec.framing != "cover":
         raise ValueError("only cover-mode spectrograms are invertible")
-    w_synth = np.asarray(w_synth, dtype=np.float64)
     L, a = spec.config.window_len, spec.config.hop
+    if spec.n_bins != L:
+        raise ValueError(f"istft needs all {L} two-sided rows, got {spec.n_bins}")
+    w_synth = np.asarray(w_synth, dtype=np.float64)
     if w_synth.shape != (L,):
         raise ValueError("synthesis window length does not match config.window_len")
     frames = (np.fft.ifft(spec.data, axis=0) * L).real
@@ -251,8 +253,8 @@ def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return buf.reshape(-1)
 
 
-def one_sided(data: np.ndarray) -> np.ndarray:
-    """Rows 0..K/2 (inclusive) of a two-sided spectrogram matrix, C-contiguous.
+def one_sided(spec: Spectrogram) -> Spectrogram:
+    """Rows 0..L/2 (inclusive) of a spectrogram, C-contiguous.
 
     ``stft`` transforms down the columns, so its output is column-major and
     a row slice of it is neither C- nor F-contiguous.  The copy costs one
@@ -260,5 +262,5 @@ def one_sided(data: np.ndarray) -> np.ndarray:
     reduction and matrix product on the one-sided matrix runs on strided
     memory.
     """
-    data = np.asarray(data)
-    return np.ascontiguousarray(data[: data.shape[0] // 2 + 1, :])
+    half = spec.config.window_len // 2 + 1
+    return replace(spec, data=np.ascontiguousarray(spec.data[:half]))

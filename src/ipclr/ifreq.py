@@ -15,8 +15,10 @@ DEFAULT_GUARD_EPS = 1e-6
 class IfMap:
     """Instantaneous frequency per bin, in DFT-grid cycles per window length.
 
-    Same shape as the source spectrogram.  Bins whose magnitude fell below
-    the guard threshold carry the carrier frequency of their own bin index.
+    Same shape as the source spectrogram pair, so a real signal's map is
+    one-sided ((L/2+1) x T) when the pair is.  Bins whose magnitude fell
+    below the guard threshold carry the carrier frequency of their own bin
+    index.
     """
 
     values: np.ndarray

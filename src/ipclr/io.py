@@ -157,18 +157,25 @@ def write_matrix_csv(m: np.ndarray, path: str | Path) -> None:
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
-    """Read back a matrix written by :func:`write_matrix_csv`."""
+    """Read back a matrix written by :func:`write_matrix_csv`.
+
+    Malformed input raises ValueError with a message that names the file.
+    """
     text = Path(path).read_text().strip().splitlines()
     if not text or not text[0].startswith("#"):
         raise ValueError(f"{path}: missing matrix header")
-    rows, cols, kind = text[0].lstrip("# ").split(",")
-    rows, cols = int(rows), int(cols)
+    try:
+        rows, cols, kind = text[0].lstrip("# ").split(",")
+        rows, cols = int(rows), int(cols)
+        values = [[float(v) for v in line.split(",")] for line in text[1:]]
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed matrix CSV: {exc}") from None
     if kind not in ("real", "complex"):
         raise ValueError(f"{path}: unknown matrix kind {kind!r}")
-    values = [[float(v) for v in line.split(",")] for line in text[1:]]
-    arr = np.asarray(values)
+    width = 2 * cols if kind == "complex" else cols
+    if len(values) != rows or any(len(row) != width for row in values):
+        raise ValueError(f"{path}: shape mismatch against header")
+    arr = np.asarray(values).reshape(rows, width)
     if kind == "complex":
         arr = arr[:, 0::2] + 1j * arr[:, 1::2]
-    if arr.shape != (rows, cols):
-        raise ValueError(f"{path}: shape mismatch against header")
     return arr

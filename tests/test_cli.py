@@ -70,6 +70,18 @@ class TestSpectrogram:
         # Phase correction changes phases only.
         np.testing.assert_allclose(np.abs(corrected), amp, atol=1e-9)
 
+    @pytest.mark.parametrize("framing", ["valid", "cover"])
+    def test_ipc_one_sided_is_top_rows_of_two_sided(self, workdir, framing):
+        synth_pair(workdir)
+        for sides in ("one", "two"):
+            assert main(["spectrogram", "noisy.wav", "--window-len", "512", "--ipc",
+                         "--framing", framing, f"--{sides}-sided", "-o", sides]) == 0
+        for kind in ("amplitude", "complex", "ipc", "if"):
+            half = read_matrix_csv(workdir / "one" / f"noisy_{kind}.csv")
+            full = read_matrix_csv(workdir / "two" / f"noisy_{kind}.csv")
+            assert full.shape[0] == 512 and half.shape[0] == 257
+            np.testing.assert_array_equal(half, full[:257])
+
     def test_no_ipc_skips_extra_files(self, workdir):
         synth_pair(workdir)
         assert main(["spectrogram", "clean.wav", "--window-len", "512",

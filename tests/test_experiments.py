@@ -16,7 +16,16 @@ from ipclr.experiments import (
     table1_layout,
     valid_spectrogram,
 )
-from ipclr.frames import StftConfig, analysis_window, hann_window, one_sided, stft
+from ipclr.frames import (
+    StftConfig,
+    analysis_window,
+    derivative_window,
+    hann_window,
+    one_sided,
+    stft,
+)
+from ipclr.ifreq import estimate_if
+from ipclr.ipc import build_corrector
 from ipclr.lowrank import svd
 from ipclr.signals import snr_db
 
@@ -105,11 +114,16 @@ class TestRepresent:
         sig = fast_signal()
         if framing == "valid":
             cfg = analysis_config(FAST["window_len"], 4)
-            x = one_sided(stft(sig, cfg, hann_window(cfg.window_len), framing="valid").data)
+            x = one_sided(stft(sig, cfg, hann_window(cfg.window_len), framing="valid")).data
+            e = ipc_corrector(sig, cfg)
         else:
+            # The two-sided pipeline of ``ipclr lowrank -o``.
             cfg = StftConfig(window_len=FAST["window_len"], hop=256, window_kind="hann_tight")
             x = stft(sig, cfg, analysis_window(cfg)).data
-        m, back = represent(x, representation, ipc_corrector(sig, cfg, framing))
+            L = cfg.window_len
+            e = build_corrector(estimate_if(stft(sig, cfg, hann_window(L)),
+                                            stft(sig, cfg, derivative_window(L))))
+        m, back = represent(x, representation, e)
         assert m.shape == x.shape
         np.testing.assert_allclose(back(m), x, rtol=0, atol=1e-12 * np.abs(x).max())
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ipclr.frames import (
+    Spectrogram,
     StftConfig,
     analysis_window,
     canonical_tight_window,
@@ -270,6 +271,13 @@ class TestIstft:
         with pytest.raises(ValueError):
             istft(spec, np.ones(8))
 
+    def test_rejects_one_sided_spectrogram(self):
+        cfg = StftConfig(window_len=16, hop=4)
+        spec = one_sided(stft(np.ones(32), cfg, hann_window(16)))
+        assert spec.n_bins == 9
+        with pytest.raises(ValueError, match="two-sided"):
+            istft(spec, hann_window(16))
+
 
 def reference_overlap_add(frames, hop):
     """Per-frame loop: frame tau added at offset hop * tau, in time order."""
@@ -301,8 +309,22 @@ class TestOverlapAdd:
 
 class TestHelpers:
     def test_one_sided_rows(self):
-        m = np.arange(16).reshape(8, 2)
-        assert one_sided(m).shape == (5, 2)
+        cfg = StftConfig(window_len=8, hop=4)
+        spec = stft(np.arange(16.0), cfg, hann_window(8))
+        half = one_sided(spec)
+        assert half.data.shape == (5, spec.n_frames)
+        assert half.data.flags.c_contiguous
+        np.testing.assert_array_equal(half.data, spec.data[:5])
+        assert (half.config, half.origin_len, half.framing) == (
+            spec.config, spec.origin_len, spec.framing)
+        assert one_sided(half).data.shape == half.data.shape
+
+    def test_spectrogram_row_counts(self):
+        cfg = StftConfig(window_len=8, hop=4)
+        for rows in (8, 5):
+            assert Spectrogram(np.zeros((rows, 3)), cfg, origin_len=8).n_bins == rows
+        with pytest.raises(ValueError, match="row count"):
+            Spectrogram(np.zeros((4, 3)), cfg, origin_len=8)
 
     def test_analysis_window_kinds(self):
         cfg = StftConfig(window_len=256, hop=64, window_kind="hann_tight")

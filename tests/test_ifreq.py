@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from ipclr.denoise import estimate_if_for
+from ipclr.experiments import default_signal, estimate_if_valid
 from ipclr.frames import StftConfig, derivative_window, hann_window, stft
 from ipclr.ifreq import estimate_if
-from ipclr.signals import SinusoidSpec, synth_sinusoid_sum
+from ipclr.signals import SignalBuffer, SinusoidSpec, add_noise_at_snr, synth_sinusoid_sum
 
 
 def if_map_of(x, config, framing="valid", guard_eps=1e-6):
@@ -101,3 +103,25 @@ class TestValidation:
         assert s1.data.shape == s2.data.shape
         with pytest.raises(ValueError):
             estimate_if(s1, s2)
+
+
+ONE_SIDED_SIGNALS = {
+    "noisy_harmonic": lambda: add_noise_at_snr(default_signal(duration_s=1.0), 10.0, seed=0),
+    "white_noise": lambda: SignalBuffer(np.random.default_rng(7).standard_normal(16000), 16000.0),
+}
+
+
+class TestOneSidedMaps:
+    """The real-signal estimators return rows 0..L/2 of the two-sided map, bit for bit."""
+
+    @pytest.mark.parametrize("window_len,hop", [(512, 128), (4096, 1024)])
+    @pytest.mark.parametrize("signal", sorted(ONE_SIDED_SIGNALS))
+    @pytest.mark.parametrize("framing", ["cover", "valid"])
+    def test_rows_of_two_sided_map(self, framing, signal, window_len, hop):
+        x = ONE_SIDED_SIGNALS[signal]()
+        cfg = StftConfig(window_len=window_len, hop=hop)
+        two_sided, s_w = if_map_of(x, cfg, framing=framing)
+        estimator = estimate_if_for if framing == "cover" else estimate_if_valid
+        v = estimator(x, cfg)
+        assert v.values.shape == (window_len // 2 + 1, s_w.n_frames)
+        np.testing.assert_array_equal(v.values, two_sided.values[: window_len // 2 + 1])

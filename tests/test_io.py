@@ -210,6 +210,18 @@ class TestMatrixCsv:
         write_matrix_csv(m, p)
         assert p.read_text() == elementwise_csv(m)
 
+    @pytest.mark.parametrize("text", [
+        "# 2,2\n1.0,2.0\n3.0,4.0\n",                # header without a kind
+        "# 2,two,real\n1.0,2.0\n3.0,4.0\n",         # non-integer dimension
+        "# 2,2,real\n1.0,2.0\n3.0,four\n",          # non-numeric entry
+        "# 2,2,real\n1.0,2.0\n3.0\n",               # ragged data row
+    ], ids=["header_fields", "dimensions", "entry", "ragged_row"])
+    def test_malformed_input_names_file(self, tmp_path, text):
+        p = tmp_path / "broken.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="broken.csv"):
+            read_matrix_csv(p)
+
     def test_rejects_unknown_kind(self, tmp_path):
         p = tmp_path / "bogus.csv"
         p.write_text("# 2,2,bogus\n1.0,2.0\n3.0,4.0\n")

@@ -7,6 +7,7 @@ from ipclr.frames import (
     canonical_tight_window,
     derivative_window,
     hann_window,
+    one_sided,
     stft,
 )
 from ipclr.ifreq import IfMap, estimate_if
@@ -36,12 +37,25 @@ def recurrence_corrector(v):
     return E
 
 
+DENOISER_CFG = StftConfig(window_len=4096, hop=1024, window_kind="hann_tight")
+
+
 @pytest.fixture(scope="module")
-def denoiser_if_map():
-    """IF of a noisy real signal at the denoiser geometry (4096 x 43)."""
-    cfg = StftConfig(window_len=4096, hop=1024, window_kind="hann_tight")
-    noisy = add_noise_at_snr(default_signal(duration_s=2.56), 10.0, seed=0)
-    return estimate_if_for(noisy, cfg)
+def denoiser_signal():
+    return add_noise_at_snr(default_signal(duration_s=2.56), 10.0, seed=0)
+
+
+@pytest.fixture(scope="module")
+def denoiser_if_map(denoiser_signal):
+    """One-sided IF of a noisy real signal at the denoiser geometry (2049 x 43)."""
+    return estimate_if_for(denoiser_signal, DENOISER_CFG)
+
+
+def two_sided_if_map(x, config):
+    """The Hann-pair IF map over all L rows, in cover framing."""
+    s_w = stft(x, config, hann_window(config.window_len))
+    s_wp = stft(x, config, derivative_window(config.window_len))
+    return estimate_if(s_w, s_wp)
 
 
 def estimated_corrector(x, config):
@@ -53,13 +67,13 @@ def estimated_corrector(x, config):
 class TestBuildCorrector:
     def test_zero_if_gives_all_ones(self):
         v = IfMap(np.zeros((8, 5)), CFG)
-        E = build_corrector(v).E
+        E = build_corrector(v)
         np.testing.assert_allclose(E, np.ones((8, 5)), atol=1e-15)
 
     def test_constant_if_closed_form(self):
         f = 3.75
         v = IfMap(np.full((4, 6), f), CFG)
-        E = build_corrector(v).E
+        E = build_corrector(v)
         tau = np.arange(6)
         expected = np.exp(-2j * np.pi * f * CFG.hop * tau / CFG.window_len)
         np.testing.assert_allclose(E, np.broadcast_to(expected, (4, 6)), atol=1e-12)
@@ -67,25 +81,28 @@ class TestBuildCorrector:
     def test_first_column_is_ones(self):
         rng = np.random.default_rng(0)
         v = IfMap(rng.uniform(0, 512, (64, 9)), CFG)
-        np.testing.assert_array_equal(build_corrector(v).E[:, 0], np.ones(64))
+        np.testing.assert_array_equal(build_corrector(v)[:, 0], np.ones(64))
 
     def test_unimodular(self):
         rng = np.random.default_rng(1)
         v = IfMap(rng.uniform(0, 512, (64, 200)), CFG)
-        E = build_corrector(v).E
+        E = build_corrector(v)
         np.testing.assert_allclose(np.abs(E), 1.0, atol=1e-15)
 
     def test_matches_recurrence(self, denoiser_if_map):
-        E = build_corrector(denoiser_if_map).E
-        assert E.shape == (4096, 43)
+        E = build_corrector(denoiser_if_map)
+        assert E.shape == (2049, 43)
         np.testing.assert_allclose(E, recurrence_corrector(denoiser_if_map), rtol=0, atol=1e-9)
 
-    def test_conjugate_symmetric_for_real_signal(self, denoiser_if_map):
-        E = build_corrector(denoiser_if_map).E
+    def test_conjugate_symmetric_for_real_signal(self, denoiser_signal, denoiser_if_map):
+        # The two-sided E of a real signal mirrors its rows 0..L/2, which
+        # are exactly the one-sided E.
+        E = build_corrector(two_sided_if_map(denoiser_signal, DENOISER_CFG))
         mirror = (-np.arange(E.shape[0])) % E.shape[0]
         np.testing.assert_allclose(E[mirror], np.conj(E), rtol=0, atol=1e-9)
         np.testing.assert_array_equal(E[0], np.ones(E.shape[1]))
         np.testing.assert_allclose(E[E.shape[0] // 2].imag, 0.0, atol=1e-15)
+        np.testing.assert_array_equal(E[: E.shape[0] // 2 + 1], build_corrector(denoiser_if_map))
 
     def test_rejects_non_finite(self):
         v = IfMap(np.zeros((4, 4)), CFG)
@@ -178,12 +195,17 @@ class TestIpcIstft:
     def test_conjugate_cancels(self):
         rng = np.random.default_rng(4)
         corr = build_corrector(IfMap(rng.uniform(0, 1024, (1024, 7)), self.cfg))
-        np.testing.assert_allclose(
-            corr.E * corr.conjugate(), np.ones_like(corr.E), atol=1e-12
-        )
+        np.testing.assert_allclose(corr * np.conj(corr), np.ones_like(corr), atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         spec = stft(np.ones(3000), self.cfg, self.wt)
         corr = build_corrector(IfMap(np.zeros((1024, 1)), self.cfg))
         with pytest.raises(ValueError):
             ipc_istft(spec, corr, self.wt)
+
+    def test_rejects_one_sided_spectrogram(self):
+        x = SignalBuffer(np.sin(np.arange(3000) * 0.05), 16000.0)
+        half = one_sided(stft(x, self.cfg, self.wt))
+        corr = build_corrector(IfMap(np.zeros(half.data.shape), self.cfg))
+        with pytest.raises(ValueError, match="two-sided"):
+            ipc_istft(half, corr, self.wt)
