@@ -26,7 +26,6 @@ from .frames import (
     frame_signal,
     hann_window,
     istft,
-    one_sided,
     stft,
 )
 from .ifreq import IfMap, estimate_if
@@ -72,7 +71,6 @@ __all__ = [
     "istft",
     "lambda_sweep",
     "nuclear_norm",
-    "one_sided",
     "rank_k_approx",
     "snr_db",
     "stft",

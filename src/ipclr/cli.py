@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import experiments, frames
+from . import experiments
 from .denoise import AdmmParams, NumericalError, denoise, estimate_if_for, lambda_sweep
 from .frames import StftConfig, analysis_window, derivative_window, hann_window, istft, stft
 from .ifreq import estimate_if
@@ -153,16 +153,15 @@ def cmd_spectrogram(input_wav, window_len, shift_div, framing, ipc, one_sided, o
     """Export amplitude/complex spectrogram CSVs (and IF map with --ipc)."""
     config = _stft_config(window_len, shift_div)
     signal = read_wav(input_wav)
-    rows = frames.one_sided if one_sided else (lambda spec: spec)
-    spec = rows(stft(signal, config, hann_window(config.window_len), framing=framing))
+    spec = stft(signal, config, hann_window(config.window_len), framing, one_sided)
     out = _outdir(outdir)
     stem = Path(input_wav).stem
     write_matrix_csv(np.abs(spec.data), out / f"{stem}_amplitude.csv")
     write_matrix_csv(spec.data, out / f"{stem}_complex.csv")
     written = 2
     if ipc:
-        spec_wp = rows(stft(signal, config, derivative_window(config.window_len),
-                            framing=framing))
+        spec_wp = stft(signal, config, derivative_window(config.window_len), framing,
+                       one_sided)
         if_map = estimate_if(spec, spec_wp)
         corrected = ipc_stft(spec, build_corrector(if_map)).data
         write_matrix_csv(corrected, out / f"{stem}_ipc.csv")

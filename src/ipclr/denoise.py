@@ -8,11 +8,11 @@ where A x = E * stft(x) with the canonical tight window and a frozen phase
 correction E.  The problem is split as min 0.5||x - d||^2 + lam||Z||_*
 subject to Z = A x and solved with scaled-dual ADMM.  For a real signal
 A x is conjugate-symmetric, so the solver works on its real one-sided
-form: the rfft of the windowed frames times the one-sided E, mapped
-isometrically onto a real L x T matrix with the same singular values
-(see ``_RealAnalysis``).  Because the tight frame satisfies A^T A = I
-(and E is unimodular), the x-update has the closed form
-x = (d + rho * A^T (Z - U)) / (1 + rho), which is real by construction.
+form: the one-sided stft times the one-sided E, mapped isometrically onto
+a real L x T matrix with the same singular values (see ``_RealAnalysis``).
+Because the tight frame satisfies A^T A = I (and E is unimodular), the
+x-update has the closed form x = (d + rho * A^T (Z - U)) / (1 + rho),
+which is real by construction.
 """
 
 from __future__ import annotations
@@ -22,16 +22,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .frames import (  # istft: not called here, wrapped by perfbench
+from .frames import (
+    Spectrogram,
     StftConfig,
     analysis_window,
     derivative_window,
     frame_count,
-    frame_signal,
     hann_window,
     istft,
-    one_sided,
-    overlap_add,
     stft,
 )
 from .ifreq import IfMap, estimate_if
@@ -111,7 +109,8 @@ class _RealAnalysis:
 
     For a real signal and the E of a real signal's IF map, E * stft(x) is
     conjugate-symmetric (row K-j is the conjugate of row j), so it is fixed
-    by its rows 0..L/2, as is E.  ``forward`` returns the real L x T matrix
+    by its rows 0..L/2, as is E.  ``forward`` takes the one-sided stft,
+    multiplies it by E and returns the real L x T matrix
 
         [row 0; sqrt2 * Re rows 1..h; row L/2; sqrt2 * Im rows 1..h]
 
@@ -120,9 +119,9 @@ class _RealAnalysis:
     from the conjugate-symmetric subspace onto R^(L x T), so norms and
     singular values equal those of the two-sided matrix, and ``adjoint`` is
     A^T, which with the canonical tight window and unimodular E is also the
-    inverse: A^T A = I.  The FFTs run along the contiguous axis of T x L
-    frame arrays; the sqrt2 and the inverse DFT's factor L are folded into
-    the stored corrector rows.
+    inverse: A^T A = I.  ``adjoint`` undoes the embedding, multiplies by
+    conj(E) and runs the one-sided istft; the sqrt2 of each direction is
+    folded into its stored corrector.
     """
 
     def __init__(self, config: StftConfig, E: np.ndarray):
@@ -137,31 +136,24 @@ class _RealAnalysis:
                 "phase correction must be real in bins 0 and L/2, "
                 "as it is for the IF map of a real signal"
             )
-        scale = np.ones(self.half)
+        scale = np.ones((self.half, 1))
         scale[self.pairs] = np.sqrt(2.0)
-        e = E.T
-        self.e_forward = e * scale
-        self.e_adjoint = np.conj(e) * (L / scale)
+        self.e_forward = E * scale
+        # T x K, the layout ``adjoint`` fills, so the inverse real FFT runs
+        # along contiguous rows.
+        self.e_adjoint = np.ascontiguousarray((np.conj(E) / scale).T)
 
     def forward(self, samples: np.ndarray) -> np.ndarray:
-        patches = frame_signal(samples, self.config).T
-        spec = np.fft.rfft(self.window * patches, axis=1)
+        spec = stft(samples, self.config, self.window, one_sided=True).data
         spec *= self.e_forward
-        out = np.empty((self.config.window_len, spec.shape[0]))
-        out[: self.half] = spec.real.T
-        out[self.half :] = spec.imag[:, self.pairs].T
-        return out
+        return np.concatenate([spec.real, spec.imag[self.pairs]])
 
     def adjoint(self, z: np.ndarray, origin_len: int) -> np.ndarray:
-        L, a = self.config.window_len, self.config.hop
         spec = np.zeros((z.shape[1], self.half), dtype=np.complex128)
         spec.real = z[: self.half].T
         spec.imag[:, self.pairs] = z[self.half :].T
         spec *= self.e_adjoint
-        frames = np.fft.irfft(spec, n=L, axis=1)
-        frames *= self.window
-        left = L - a  # the cover framing's left padding
-        return overlap_add(frames.T, a)[left : left + origin_len]
+        return istft(Spectrogram(spec.T, self.config, origin_len), self.window).samples
 
 
 def estimate_if_for(signal: SignalBuffer, config: StftConfig) -> IfMap:
@@ -175,8 +167,8 @@ def estimate_if_for(signal: SignalBuffer, config: StftConfig) -> IfMap:
     0.30 (E = 1) to 0.976, which a test pins at 0.95 or more.
     """
     L = config.window_len
-    s_w = one_sided(stft(signal, config, hann_window(L)))
-    s_wp = one_sided(stft(signal, config, derivative_window(L)))
+    s_w = stft(signal, config, hann_window(L), one_sided=True)
+    s_wp = stft(signal, config, derivative_window(L), one_sided=True)
     return estimate_if(s_w, s_wp)
 
 

@@ -38,13 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import (
-    StftConfig,
-    derivative_window,
-    hann_window,
-    one_sided,
-    stft,
-)
+from .frames import StftConfig, derivative_window, hann_window, stft
 from .ifreq import IfMap, estimate_if
 from .ipc import build_corrector
 from .lowrank import rank_one_approx, svd
@@ -108,8 +102,8 @@ def analysis_config(window_len: int, shift_divisor: int) -> StftConfig:
 
 def estimate_if_valid(signal: SignalBuffer, config: StftConfig) -> IfMap:
     """One-sided IF map of a real signal under the Hann/derivative pair in valid framing."""
-    s_w = one_sided(stft(signal, config, hann_window(config.window_len), framing="valid"))
-    s_wp = one_sided(stft(signal, config, derivative_window(config.window_len), framing="valid"))
+    s_w = stft(signal, config, hann_window(config.window_len), "valid", one_sided=True)
+    s_wp = stft(signal, config, derivative_window(config.window_len), "valid", one_sided=True)
     return estimate_if(s_w, s_wp)
 
 
@@ -127,7 +121,7 @@ class RankCell:
 
 def valid_spectrogram(signal: SignalBuffer, config: StftConfig) -> np.ndarray:
     """One-sided Hann spectrogram of ``signal`` in valid framing."""
-    return one_sided(stft(signal, config, hann_window(config.window_len), framing="valid")).data
+    return stft(signal, config, hann_window(config.window_len), "valid", one_sided=True).data
 
 
 def observe(

@@ -5,8 +5,9 @@ The transform follows the windowed-DFT convention
     S[xi, tau] = sum_l x[l + a*tau] * w[l] * exp(-2j*pi*xi*l/L)
 
 with window_len two-sided bins on the exact DFT grid (K = L rows,
-xi = 0..L-1) and an unnormalized DFT; ``one_sided`` keeps rows 0..L/2,
-which hold all of a real signal's transform.  Two framing rules exist:
+xi = 0..L-1) and an unnormalized DFT.  Rows 0..L/2 hold all of a real
+signal's transform: ``stft(..., one_sided=True)`` computes only those with
+a real FFT, and ``istft`` inverts either form.  Two framing rules exist:
 
 ``cover``
     The signal is zero-padded by L - a samples on the left and enough on
@@ -25,7 +26,7 @@ which hold all of a real signal's transform.  Two framing rules exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,9 +65,10 @@ class StftConfig:
 class Spectrogram:
     """Complex K x T matrix plus the configuration that produced it.
 
-    K is L (two-sided) or L/2+1 (``one_sided``).  ``origin_len`` is the
-    pre-padding signal length; ``framing`` records which framing rule built
-    the matrix.  Values are treated as immutable after construction.
+    K is L (two-sided) or L/2+1 (one-sided, of a real signal).
+    ``origin_len`` is the pre-padding signal length; ``framing`` records
+    which framing rule built the matrix.  Values are treated as immutable
+    after construction.
     """
 
     data: np.ndarray
@@ -188,11 +190,15 @@ def stft(
     config: StftConfig,
     w: np.ndarray,
     framing: str = "cover",
+    one_sided: bool = False,
 ) -> Spectrogram:
     """Forward STFT of a real or complex signal.
 
     ``w`` must have length ``config.window_len``.  Rows are DFT bins
-    0..K-1 (two-sided), columns are frames in time order.
+    0..K-1, columns are frames in time order.  With ``one_sided`` the
+    signal must be real and K = L/2+1: a real FFT runs along the
+    contiguous axis of the T x L windowed frames, and the result is
+    returned C-contiguous.
     """
     if isinstance(x, SignalBuffer):
         samples, rate = x.samples, x.sample_rate_hz
@@ -203,8 +209,16 @@ def stft(
         raise ValueError("window length does not match config.window_len")
     if framing not in FRAMINGS:
         raise ValueError(f"unknown framing: {framing!r}")
+    if one_sided and np.iscomplexobj(samples):
+        raise ValueError(
+            "one_sided needs a real signal: a complex signal's negative "
+            "frequencies are not the conjugates of its positive ones"
+        )
     patches = frame_signal(samples, config, framing)
-    data = np.fft.fft(w[:, None] * patches, n=config.window_len, axis=0)
+    if one_sided:
+        data = np.ascontiguousarray(np.fft.rfft(w * patches.T, axis=1).T)
+    else:
+        data = np.fft.fft(w[:, None] * patches, n=config.window_len, axis=0)
     return Spectrogram(
         data=data,
         config=config,
@@ -220,17 +234,20 @@ def istft(spec: Spectrogram, w_synth: np.ndarray) -> SignalBuffer:
     For the canonical tight window as both analysis and synthesis window
     this reconstructs the original samples exactly (up to roundoff); it is
     also the adjoint of :func:`stft` restricted to real signals, which the
-    ADMM solver relies on.  The spectrogram must be two-sided.
+    ADMM solver relies on.  A one-sided spectrogram (L/2+1 rows) is read
+    as half of a conjugate-symmetric one and inverted with the real
+    inverse DFT.
     """
     if spec.framing != "cover":
         raise ValueError("only cover-mode spectrograms are invertible")
     L, a = spec.config.window_len, spec.config.hop
-    if spec.n_bins != L:
-        raise ValueError(f"istft needs all {L} two-sided rows, got {spec.n_bins}")
     w_synth = np.asarray(w_synth, dtype=np.float64)
     if w_synth.shape != (L,):
         raise ValueError("synthesis window length does not match config.window_len")
-    frames = (np.fft.ifft(spec.data, axis=0) * L).real
+    if spec.n_bins == L:
+        frames = (np.fft.ifft(spec.data, axis=0) * L).real
+    else:
+        frames = np.fft.irfft(spec.data, n=L, axis=0, norm="forward")
     frames *= w_synth[:, None]
     buf = overlap_add(frames, a)
     left = _pad_left(spec.config, spec.framing)
@@ -251,16 +268,3 @@ def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     for r in reversed(range(blocks)):
         buf[r : r + n_frames] += frames[r * hop : (r + 1) * hop].T
     return buf.reshape(-1)
-
-
-def one_sided(spec: Spectrogram) -> Spectrogram:
-    """Rows 0..L/2 (inclusive) of a spectrogram, C-contiguous.
-
-    ``stft`` transforms down the columns, so its output is column-major and
-    a row slice of it is neither C- nor F-contiguous.  The copy costs one
-    pass over the half spectrum; without it every elementwise operation,
-    reduction and matrix product on the one-sided matrix runs on strided
-    memory.
-    """
-    half = spec.config.window_len // 2 + 1
-    return replace(spec, data=np.ascontiguousarray(spec.data[:half]))

@@ -53,7 +53,11 @@ def ipc_stft(spec: Spectrogram, E: np.ndarray) -> Spectrogram:
 
 
 def ipc_istft(spec_ipc: Spectrogram, E: np.ndarray, w_synth: np.ndarray) -> SignalBuffer:
-    """Undo the phase correction with conj(E), then invert the two-sided STFT."""
+    """Undo the phase correction with conj(E), then invert with ``istft``.
+
+    The spectrogram may be two-sided or, for a real signal, one-sided with
+    the one-sided E of its IF map.
+    """
     if E.shape != spec_ipc.data.shape:
         raise ValueError("corrector shape does not match spectrogram shape")
     return istft(replace(spec_ipc, data=np.conj(E) * spec_ipc.data), w_synth)

@@ -38,9 +38,11 @@ class SvdFactors:
     V: np.ndarray
 
     def reconstruct(self, k: int | None = None) -> np.ndarray:
-        """U_k diag(s_k) V_k^H; full reconstruction when k is None."""
-        if k is None:
-            k = self.singular_values.shape[0]
+        """U_k diag(s_k) V_k^H for k in [1, rank]; full reconstruction when k is None."""
+        rank = self.singular_values.shape[0]
+        k = rank if k is None else k
+        if not 1 <= k <= rank:
+            raise ValueError(f"k must lie in [1, {rank}] (the factored rank), got {k}")
         return (self.U[:, :k] * self.singular_values[:k]) @ self.V[:, :k].conj().T
 
 

@@ -17,7 +17,6 @@ from ipclr.frames import (
     analysis_window,
     derivative_window,
     hann_window,
-    one_sided,
     stft,
 )
 from ipclr.ifreq import IfMap, estimate_if
@@ -76,7 +75,7 @@ class TestObjective:
     def test_zero_signals(self):
         zero = SignalBuffer(np.zeros(2048), RATE)
         corr = build_corrector(
-            IfMap(np.zeros(one_sided(stft(zero, CFG, analysis_window(CFG))).data.shape), CFG)
+            IfMap(np.zeros(stft(zero, CFG, analysis_window(CFG), one_sided=True).data.shape), CFG)
         )
         assert ipclr_objective(zero, zero, 3.0, corr, CFG) == 0.0
 

@@ -21,7 +21,6 @@ from ipclr.frames import (
     analysis_window,
     derivative_window,
     hann_window,
-    one_sided,
     stft,
 )
 from ipclr.ifreq import estimate_if
@@ -114,7 +113,7 @@ class TestRepresent:
         sig = fast_signal()
         if framing == "valid":
             cfg = analysis_config(FAST["window_len"], 4)
-            x = one_sided(stft(sig, cfg, hann_window(cfg.window_len), framing="valid")).data
+            x = stft(sig, cfg, hann_window(cfg.window_len), "valid", one_sided=True).data
             e = ipc_corrector(sig, cfg)
         else:
             # The two-sided pipeline of ``ipclr lowrank -o``.

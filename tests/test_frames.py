@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipclr.frames import (
     Spectrogram,
@@ -11,7 +13,6 @@ from ipclr.frames import (
     frame_signal,
     hann_window,
     istft,
-    one_sided,
     overlap_add,
     shifted_square_sum,
     stft,
@@ -234,6 +235,12 @@ class TestStft:
         with pytest.raises(ValueError, match="window length"):
             stft(np.ones(32), cfg, np.ones(8))
 
+    def test_one_sided_rejects_complex_signal(self):
+        cfg = StftConfig(window_len=16, hop=4)
+        x = np.exp(2j * np.pi * 3 * np.arange(32) / 16)
+        with pytest.raises(ValueError, match="real signal"):
+            stft(x, cfg, hann_window(16), one_sided=True)
+
     def test_signal_buffer_rate_carried(self):
         cfg = StftConfig(window_len=16, hop=4)
         spec = stft(SignalBuffer(np.ones(20), 44100.0), cfg, hann_window(16))
@@ -271,12 +278,13 @@ class TestIstft:
         with pytest.raises(ValueError):
             istft(spec, np.ones(8))
 
-    def test_rejects_one_sided_spectrogram(self):
+    def test_inverts_one_sided_spectrogram(self):
         cfg = StftConfig(window_len=16, hop=4)
-        spec = one_sided(stft(np.ones(32), cfg, hann_window(16)))
+        wt = canonical_tight_window(hann_window(16), 4)
+        x = np.random.default_rng(8).standard_normal(32)
+        spec = stft(x, cfg, wt, one_sided=True)
         assert spec.n_bins == 9
-        with pytest.raises(ValueError, match="two-sided"):
-            istft(spec, hann_window(16))
+        np.testing.assert_allclose(istft(spec, wt).samples, x, atol=1e-12)
 
 
 def reference_overlap_add(frames, hop):
@@ -307,18 +315,46 @@ class TestOverlapAdd:
         assert np.vdot(patches, z) == pytest.approx(np.vdot(x, back), rel=1e-12)
 
 
-class TestHelpers:
-    def test_one_sided_rows(self):
-        cfg = StftConfig(window_len=8, hop=4)
-        spec = stft(np.arange(16.0), cfg, hann_window(8))
-        half = one_sided(spec)
-        assert half.data.shape == (5, spec.n_frames)
-        assert half.data.flags.c_contiguous
-        np.testing.assert_array_equal(half.data, spec.data[:5])
-        assert (half.config, half.origin_len, half.framing) == (
-            spec.config, spec.origin_len, spec.framing)
-        assert one_sided(half).data.shape == half.data.shape
+@st.composite
+def real_transform_case(draw):
+    """A real signal and a geometry with even or odd L down to 2, either framing."""
+    L = draw(st.integers(2, 40))
+    hop = draw(st.sampled_from([d for d in range(1, L // 2 + 1) if L % d == 0]))
+    framing = draw(st.sampled_from(["cover", "valid"]))
+    n = draw(st.integers(L if framing == "valid" else 1, 3 * L + 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return StftConfig(window_len=L, hop=hop), framing, rng.standard_normal(n), rng
 
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestOneSided:
+    @PROPERTY
+    @given(real_transform_case())
+    def test_rows_match_two_sided(self, case):
+        cfg, framing, x, rng = case
+        w = rng.uniform(0.2, 1.0, cfg.window_len)
+        half = stft(x, cfg, w, framing, one_sided=True)
+        full = stft(x, cfg, w, framing).data[: cfg.window_len // 2 + 1]
+        assert half.data.shape == full.shape
+        assert half.data.flags.c_contiguous
+        assert np.abs(half.data - full).max() <= 1e-12 * np.abs(full).max()
+        assert (half.config, half.origin_len, half.framing) == (cfg, len(x), framing)
+
+    @PROPERTY
+    @given(real_transform_case())
+    def test_tight_round_trip(self, case):
+        cfg, _, x, _ = case
+        wt = canonical_tight_window(hann_window(cfg.window_len), cfg.hop)
+        back = istft(stft(x, cfg, wt, one_sided=True), wt).samples
+        two_sided = istft(stft(x, cfg, wt), wt).samples
+        scale = np.linalg.norm(x)
+        assert np.linalg.norm(back - x) <= 1e-12 * scale
+        assert np.linalg.norm(back - two_sided) <= 1e-12 * scale
+
+
+class TestHelpers:
     def test_spectrogram_row_counts(self):
         cfg = StftConfig(window_len=8, hop=4)
         for rows in (8, 5):

@@ -58,6 +58,12 @@ class TestSvd:
         np.testing.assert_allclose(f.V.conj().T @ f.V, np.eye(6), atol=1e-8)
         np.testing.assert_allclose(f.reconstruct(), m, atol=1e-8 * s[0])
 
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_reconstruct_rejects_k_outside_rank(self, k):
+        f = svd(random_complex(np.random.default_rng(4), (10, 6)))
+        with pytest.raises(ValueError, match=r"\[1, 6\]"):
+            f.reconstruct(k)
+
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(3)
         m = random_complex(rng, (7, 7))
