@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import experiments
-from .denoise import AdmmParams, NumericalError, denoise, estimate_if_for, lambda_sweep
-from .frames import StftConfig, analysis_window, derivative_window, hann_window, istft, stft
+from .denoise import (AdmmParams, NumericalError, RealAnalysis, denoise, estimate_if_for,
+                      lambda_sweep)
+from .frames import StftConfig, analysis_window, derivative_window, hann_window, stft
+from .frames import istft  # wrapped by perfbench
 from .ifreq import estimate_if
 from .io import read_wav, write_matrix_csv, write_wav
 from .ipc import build_corrector, ipc_istft, ipc_stft  # ipc_istft: wrapped by perfbench
@@ -59,17 +60,15 @@ def _outdir(path: str) -> Path:
     return out
 
 
-def _stft_config(window_len: int, shift_div: int, tight: bool = False) -> StftConfig:
-    if shift_div < 1:
-        raise click.UsageError("shift divisor must be at least 1")
-    try:
-        return StftConfig(
-            window_len=window_len,
-            hop=window_len // shift_div,
-            window_kind="hann_tight" if tight else "hann",
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+def _write_csv(path, header: str, rows) -> list[str]:
+    """Write ``header`` and a line per row, floats as ``repr(float(v))``; return the lines."""
+    lines = [header] + [
+        ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                 for v in row)
+        for row in rows
+    ]
+    Path(path).write_text("\n".join(lines) + "\n")
+    return lines
 
 
 def _format_db(value: float) -> str:
@@ -151,7 +150,7 @@ def cmd_synth(count, base_freq, freq, amp, duration, rate, snr, seed, normalize,
 @click.option("-o", "--outdir", default="spectrogram_out", show_default=True)
 def cmd_spectrogram(input_wav, window_len, shift_div, framing, ipc, one_sided, outdir):
     """Export amplitude/complex spectrogram CSVs (and IF map with --ipc)."""
-    config = _stft_config(window_len, shift_div)
+    config = experiments.analysis_config(window_len, shift_div)
     signal = read_wav(input_wav)
     spec = stft(signal, config, hann_window(config.window_len), framing, one_sided)
     out = _outdir(outdir)
@@ -210,7 +209,7 @@ def cmd_lowrank(input_wav, k, representation, window_len, shift_div, clean,
                f"k={k} spectrogram SNR = {_format_db(value)} dB")
 
     if output:
-        tight_cfg = _stft_config(window_len, shift_div, tight=True)
+        tight_cfg = experiments.analysis_config(window_len, shift_div, "hann_tight")
         recon = _reconstruct_rank_k(observed, if_signal, tight_cfg, representation, k)
         write_wav(recon, output, format="float32")
         click.echo(f"time-domain SNR vs clean = "
@@ -220,19 +219,23 @@ def cmd_lowrank(input_wav, k, representation, window_len, shift_div, clean,
 def _reconstruct_rank_k(observed: SignalBuffer, if_signal: SignalBuffer,
                         config: StftConfig, representation: str,
                         k: int) -> SignalBuffer:
-    """Invertible-pipeline variant: rank-k in cover framing, then synthesis.
+    """Rank-k synthesis in cover framing: ``op.adjoint(rank_k(op.forward(x)), n)``.
 
-    Rank k acts on the two-sided matrix, so E is built two-sided too.
+    ``op`` is the denoiser's real one-sided ``RealAnalysis`` with ``E`` the
+    corrector of ``if_signal``'s IF map (``ipc``), 1 (``stft``) or the
+    conjugate of the observed phase (``amplitude``).  Its rank-k truncation
+    is that of the two-sided matrix, and ``adjoint`` inverts the transform.
     """
-    w = analysis_window(config)
-    spec = stft(observed, config, w)
-    e = None
     if representation == "ipc":
-        L = config.window_len
-        e = build_corrector(estimate_if(stft(if_signal, config, hann_window(L)),
-                                        stft(if_signal, config, derivative_window(L))))
-    m, back = experiments.represent(spec.data, representation, e)
-    return istft(replace(spec, data=back(rank_k_approx(m, k))), w)
+        e = build_corrector(estimate_if_for(if_signal, config))
+    elif representation == "amplitude":
+        spec = stft(observed, config, analysis_window(config), one_sided=True).data
+        e = np.conj(experiments.unit_phase(spec, np.abs(spec)))
+    else:
+        e = np.ones((config.window_len // 2 + 1, 1))
+    op = RealAnalysis(config, e)
+    recon = op.adjoint(rank_k_approx(op.forward(observed.samples), k), len(observed))
+    return SignalBuffer(recon, observed.sample_rate_hz)
 
 
 @cli.command("table1")
@@ -260,26 +263,19 @@ def cmd_table1(seeds, duration, count, window_len, noise_domain, if_source, outd
     )
     cells = experiments.run_table1(spec)
     out = _outdir(outdir)
-    _write_cells_csv(cells, out / "table1_cells.csv")
+    _write_csv(out / "table1_cells.csv",
+               "representation,shift_div,input_snr_db,k,seed,snr_db",
+               [(c.representation, c.shift_divisor,
+                 "" if c.input_snr_db is None else f"{c.input_snr_db:g}",
+                 c.k, c.seed, c.snr_db) for c in cells])
     rows = experiments.table1_layout(cells, spec.shift_divisors, spec.input_snrs_db)
-    level_keys = [f"snr_in_{level:g}" for level in spec.input_snrs_db]
-    lines = ["representation,shift," + ",".join(
-        [k.removeprefix("snr_in_") for k in level_keys] + ["clean"])]
-    for row in rows:
-        cells_txt = [f"{row[k]:.1f}" for k in level_keys] + [f"{row['clean']:.1f}"]
-        lines.append(f"{row['representation']},{row['shift']}," + ",".join(cells_txt))
-    (out / "table1.csv").write_text("\n".join(lines) + "\n")
+    keys = [f"snr_in_{level:g}" for level in spec.input_snrs_db] + ["clean"]
+    header = ",".join(["representation,shift"] + [k.removeprefix("snr_in_") for k in keys])
+    lines = _write_csv(out / "table1.csv", header,
+                       [[row["representation"], row["shift"]]
+                        + [f"{row[key]:.1f}" for key in keys] for row in rows])
     click.echo("\n".join(lines))
     click.echo(f"wrote {out / 'table1.csv'}")
-
-
-def _write_cells_csv(cells, path):
-    lines = ["representation,shift_div,input_snr_db,k,seed,snr_db"]
-    for c in cells:
-        level = "" if c.input_snr_db is None else f"{c.input_snr_db:g}"
-        lines.append(f"{c.representation},{c.shift_divisor},{level},{c.k},"
-                     f"{c.seed},{c.snr_db!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @cli.command("fig3")
@@ -292,11 +288,9 @@ def _write_cells_csv(cells, path):
 @click.option("--window-len", default=4096, show_default=True)
 @click.option("--shift-div", default=4, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--if-source", default="clean", show_default=True,
-              type=click.Choice(["clean", "noisy"]))
 @click.option("-o", "--output", default="fig3.csv", show_default=True)
 def cmd_fig3(count, noise, input_snr, k_max, k_min, duration, window_len,
-             shift_div, seed, if_source, output):
+             shift_div, seed, output):
     """Rank-k SNR curves per representation (CSV of representation,k,snr)."""
     if not 1 <= k_min <= k_max:
         raise click.UsageError("need 1 <= k-min <= k-max")
@@ -307,14 +301,11 @@ def cmd_fig3(count, noise, input_snr, k_max, k_min, duration, window_len,
         window_len=window_len,
         shift_divisors=(shift_div,),
         seeds=(seed,),
-        if_source=if_source,
         k_values=tuple(range(k_min, k_max + 1)),
     )
     cells = experiments.run_fig3(spec, input_snr if noise else None)
-    lines = ["representation,k,snr_db"]
-    for c in cells:
-        lines.append(f"{c.representation},{c.k},{c.snr_db!r}")
-    Path(output).write_text("\n".join(lines) + "\n")
+    _write_csv(output, "representation,k,snr_db",
+               [(c.representation, c.k, c.snr_db) for c in cells])
     click.echo(f"wrote {output} ({len(cells)} rows)")
 
 
@@ -339,7 +330,7 @@ def cmd_denoise(input_wav, lam, rho, iters, window_len, shift_div, if_oracle, cl
         params = AdmmParams(lam=lam, rho=rho, max_iter=iters)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    config = _stft_config(window_len, shift_div, tight=True)
+    config = experiments.analysis_config(window_len, shift_div, "hann_tight")
     observed = read_wav(input_wav)
     if_map = None
     if if_oracle:
@@ -359,12 +350,9 @@ def cmd_denoise(input_wav, lam, rho, iters, window_len, shift_div, if_oracle, cl
         after = snr_db(clean, result)
         click.echo(f"SNR: {_format_db(before)} dB -> {_format_db(after)} dB")
     if convergence_csv:
-        lines = ["iteration,objective,primal_residual"]
-        for i, (obj, res) in enumerate(
-            zip(state.objective_history, state.residual_history)
-        ):
-            lines.append(f"{i},{obj!r},{res!r}")
-        Path(convergence_csv).write_text("\n".join(lines) + "\n")
+        _write_csv(convergence_csv, "iteration,objective,primal_residual",
+                   [(i, *pair) for i, pair in enumerate(
+                       zip(state.objective_history, state.residual_history))])
         click.echo(f"wrote {convergence_csv}")
 
 
@@ -390,15 +378,12 @@ def cmd_denoise_sweep(input_wav, clean_wav, lam_min, lam_max, lam_count, rho, it
     clean = read_wav(clean_wav)
     if len(clean) != len(observed):
         raise click.UsageError("clean WAV length must match the input")
-    config = _stft_config(window_len, shift_div, tight=True)
+    config = experiments.analysis_config(window_len, shift_div, "hann_tight")
     grid = list(np.geomspace(lam_min, lam_max, lam_count))
     params = AdmmParams(lam=grid[0], rho=rho, max_iter=iters)
     if_map = estimate_if_for(read_wav(if_oracle) if if_oracle else observed, config)
     rows = lambda_sweep(observed, clean, grid, params, config, if_map=if_map)
-    lines = ["lam,snr_db,objective"]
-    for row in rows:
-        lines.append(f"{row.lam!r},{row.snr_db!r},{row.objective!r}")
-    Path(output).write_text("\n".join(lines) + "\n")
+    _write_csv(output, "lam,snr_db,objective", rows)
     best = max(rows, key=lambda r: r.snr_db)
     click.echo(f"input SNR {_format_db(snr_db(clean, observed))} dB; "
                f"best lam={best.lam:.6g} -> {_format_db(best.snr_db)} dB")

@@ -9,7 +9,7 @@ correction E.  The problem is split as min 0.5||x - d||^2 + lam||Z||_*
 subject to Z = A x and solved with scaled-dual ADMM.  For a real signal
 A x is conjugate-symmetric, so the solver works on its real one-sided
 form: the one-sided stft times the one-sided E, mapped isometrically onto
-a real L x T matrix with the same singular values (see ``_RealAnalysis``).
+a real L x T matrix with the same singular values (see ``RealAnalysis``).
 Because the tight frame satisfies A^T A = I (and E is unimodular), the
 x-update has the closed form x = (d + rho * A^T (Z - U)) / (1 + rho),
 which is real by construction.
@@ -75,7 +75,7 @@ class AdmmState:
     Z = svt(Y, threshold) and U = Y - Z.  The state keeps Y alone, half the
     memory of keeping both, and ``Z`` and ``U`` recompute them on access.
     All three are real L x T matrices in the one-sided coordinates of
-    ``_RealAnalysis``; their norms and singular values equal those of the
+    ``RealAnalysis``; their norms and singular values equal those of the
     two-sided complex matrices.
     """
 
@@ -104,24 +104,24 @@ class LambdaSweepRow(NamedTuple):
     objective: float
 
 
-class _RealAnalysis:
+class RealAnalysis:
     """The frozen operator A = E * stft(., config's window) in real coordinates.
 
-    For a real signal and the E of a real signal's IF map, E * stft(x) is
-    conjugate-symmetric (row K-j is the conjugate of row j), so it is fixed
-    by its rows 0..L/2, as is E.  ``forward`` takes the one-sided stft,
-    multiplies it by E and returns the real L x T matrix
+    E is unimodular, broadcasts against the (L/2+1) x T one-sided stft and
+    is real in rows 0 and L/2: the corrector of a real signal's IF map, 1,
+    or the conjugate of a real signal's phase.  For a real signal x,
+    E * stft(x) is then the top of a conjugate-symmetric two-sided matrix
+    (row K-j is the conjugate of row j).  ``forward`` takes the one-sided
+    stft, multiplies it by E and returns the real L x T matrix
 
         [row 0; sqrt2 * Re rows 1..h; row L/2; sqrt2 * Im rows 1..h]
 
-    with h = (L-1)//2 (row L/2 only for even L).  E must be real in rows 0
-    and L/2, as the E of a real signal's IF map is.  The map is an isometry
-    from the conjugate-symmetric subspace onto R^(L x T), so norms and
-    singular values equal those of the two-sided matrix, and ``adjoint`` is
-    A^T, which with the canonical tight window and unimodular E is also the
-    inverse: A^T A = I.  ``adjoint`` undoes the embedding, multiplies by
-    conj(E) and runs the one-sided istft; the sqrt2 of each direction is
-    folded into its stored corrector.
+    with h = (L-1)//2 (row L/2 only for even L).  The map is an isometry
+    from the conjugate-symmetric subspace onto R^(L x T), so norms, singular
+    values and rank-k truncations are those of the two-sided matrix.
+    ``adjoint`` (A^T, and with the canonical tight window the inverse:
+    A^T A = I) undoes the embedding, multiplies by conj(E) and runs the
+    one-sided istft; each direction folds its sqrt2 into its stored corrector.
     """
 
     def __init__(self, config: StftConfig, E: np.ndarray):
@@ -191,7 +191,7 @@ def ipclr_objective(
     if E.shape != (config.window_len // 2 + 1, frame_count(len(x), config, "cover")):
         raise ValueError("corrector shape does not match the transform shape")
     data_term = 0.5 * float(np.sum((x.samples - d.samples) ** 2))
-    ax = _RealAnalysis(config, E).forward(x.samples)
+    ax = RealAnalysis(config, E).forward(x.samples)
     return data_term + lam * nuclear_norm(ax)
 
 
@@ -225,7 +225,7 @@ def denoise(
             f"IF map shape {if_map.values.shape} does not match the "
             f"one-sided transform shape {expected} (L/2+1 rows)"
         )
-    op = _RealAnalysis(config, build_corrector(if_map))
+    op = RealAnalysis(config, build_corrector(if_map))
 
     x = d.samples.copy()
     Z = op.forward(x)

@@ -90,14 +90,24 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in ("table1", "fig3"):
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
-        if self.noise_domain not in ("tf", "time"):
-            raise ValueError("noise_domain must be 'tf' or 'time'")
-        if self.if_source not in ("clean", "noisy"):
-            raise ValueError("if_source must be 'clean' or 'noisy'")
+        _check_noise(self.noise_domain, self.if_source)
 
 
-def analysis_config(window_len: int, shift_divisor: int) -> StftConfig:
-    return StftConfig(window_len=window_len, hop=window_len // shift_divisor)
+def _check_noise(noise_domain: str, if_source: str) -> None:
+    if noise_domain not in ("tf", "time"):
+        raise ValueError("noise_domain must be 'tf' or 'time'")
+    if if_source not in ("clean", "noisy"):
+        raise ValueError("if_source must be 'clean' or 'noisy'")
+    if if_source == "noisy" and noise_domain == "tf":
+        raise ValueError("if_source='noisy' needs noise_domain='time' (a waveform)")
+
+
+def analysis_config(window_len: int, shift_divisor: int,
+                    window_kind: str = "hann") -> StftConfig:
+    """The config of window ``window_len`` at hop ``window_len // shift_divisor``."""
+    if shift_divisor < 1:
+        raise ValueError(f"shift divisor must be at least 1, got {shift_divisor}")
+    return StftConfig(window_len, window_len // shift_divisor, window_kind)
 
 
 def estimate_if_valid(signal: SignalBuffer, config: StftConfig) -> IfMap:
@@ -150,19 +160,23 @@ def ipc_corrector(if_signal: SignalBuffer, config: StftConfig) -> np.ndarray:
     return build_corrector(estimate_if_valid(if_signal, config))
 
 
+def unit_phase(x: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """``x / mag`` for ``mag = |x|``, with 1 where ``|x| = 0`` (as ``np.angle(0) = 0``)."""
+    return np.divide(x, mag, out=np.ones_like(x), where=mag != 0)
+
+
 def represent(
     x: np.ndarray, representation: str, e: np.ndarray | None
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Return ``(matrix, back)``: what rank-k truncation acts on, and the map back.
 
-    ``amplitude`` truncates ``|x|`` and restores the phase ``x / |x|`` of
-    ``x`` (1 where ``|x| = 0``, as ``np.angle(0) = 0``); ``ipc`` truncates
-    ``E * x`` with a corrector ``e`` of the shape of ``x`` (the other
-    representations ignore ``e``).
+    ``amplitude`` truncates ``|x|`` and restores the phase of ``x``
+    (``unit_phase``); ``ipc`` truncates ``E * x`` with a corrector ``e`` of
+    the shape of ``x`` (the other representations ignore ``e``).
     """
     if representation == "amplitude":
         mag = np.abs(x)
-        phase = np.divide(x, mag, out=np.ones_like(x), where=mag != 0)
+        phase = unit_phase(x, mag)
         return mag, lambda m: m * phase
     if representation == "stft":
         return x, lambda m: m
@@ -194,15 +208,15 @@ def rank_cell_snr(
     must be 1: the Gram route of ``rank_one_approx`` is accurate for the
     top singular pair only, and ``run_fig3`` is the rank-k path.
     ``input_snr_db=None`` runs the noise-free cell.  All scoring happens on
-    the one-sided half spectrum.  ``if_source="noisy"`` takes effect only
-    with ``noise_domain="time"``: bin-wise noise has no waveform for the
-    estimator to look at, so the phase correction then comes from the
-    clean signal.
+    the one-sided half spectrum.  ``if_source="noisy"`` estimates the phase
+    correction from the noisy waveform and so needs ``noise_domain="time"``:
+    bin-wise noise has no waveform, and the pair is a ValueError.
     """
     if k != 1:
         raise ValueError(
             f"Table 1 cells are rank-1, got k={k}; run_fig3 is the rank-k path"
         )
+    _check_noise(noise_domain, if_source)
     x_clean = valid_spectrogram(clean, config)
     x_obs, observed = observe(clean, x_clean, config, input_snr_db, seed, noise_domain)
     if_signal = clean if if_source == "clean" else observed

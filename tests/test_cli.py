@@ -1,8 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ipclr.cli import main
+from ipclr.denoise import estimate_if_for
+from ipclr.experiments import REPRESENTATIONS
+from ipclr.frames import StftConfig, analysis_window, istft, stft
 from ipclr.io import read_matrix_csv, read_wav
+from ipclr.ipc import build_corrector
+from ipclr.lowrank import rank_k_approx
 from ipclr.signals import snr_db
 
 
@@ -10,6 +17,16 @@ from ipclr.signals import snr_db
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+def two_sided_rank_k(x, config, e_half, k):
+    """istft(conj(E2) * rank_k(E2 * stft(x))), E2 the conjugate-symmetric extension of e_half."""
+    L = config.window_len
+    e2 = np.concatenate([e_half, np.conj(e_half[1 : 1 + (L - 1) // 2][::-1])])
+    w = analysis_window(config)
+    spec = stft(x, config, w)
+    z = np.conj(e2) * rank_k_approx(e2 * spec.data, k)
+    return istft(replace(spec, data=z), w).samples
 
 
 def synth_pair(workdir):
@@ -117,6 +134,37 @@ class TestLowrank:
         recon = read_wav(workdir / "rk.wav")
         assert len(recon) == len(read_wav(noisy_p))
 
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
+    def test_output_matches_two_sided_rank_k(self, workdir, representation):
+        clean_p, noisy_p = synth_pair(workdir)
+        assert main(["lowrank", "noisy.wav", "--window-len", "512", "--k", "2",
+                     "--representation", representation, "--clean", "clean.wav",
+                     "-o", "rk.wav"]) == 0
+        noisy = read_wav(noisy_p)
+        cfg = StftConfig(window_len=512, hop=128, window_kind="hann_tight")
+        half = stft(noisy, cfg, analysis_window(cfg), one_sided=True).data
+        e = {
+            "amplitude": np.exp(-1j * np.angle(half)),
+            "stft": np.ones(half.shape),
+            "ipc": build_corrector(estimate_if_for(read_wav(clean_p), cfg)),
+        }[representation]
+        # The WAV stores float32: half a unit in the last place of |x| < 2.
+        np.testing.assert_allclose(read_wav(workdir / "rk.wav").samples,
+                                   two_sided_rank_k(noisy, cfg, e, 2), rtol=0, atol=2e-7)
+
+    def test_reconstruction_takes_no_two_sided_fft(self, workdir, monkeypatch):
+        synth_pair(workdir)
+
+        def two_sided_fft(*args, **kwargs):
+            raise AssertionError("lowrank -o called a two-sided FFT")
+
+        monkeypatch.setattr(np.fft, "fft", two_sided_fft)
+        monkeypatch.setattr(np.fft, "ifft", two_sided_fft)
+        for representation in REPRESENTATIONS:
+            assert main(["lowrank", "noisy.wav", "--window-len", "512", "--k", "2",
+                         "--representation", representation, "--clean", "clean.wav",
+                         "-o", "rk.wav"]) == 0
+
     def test_k_too_large(self, workdir):
         synth_pair(workdir)
         assert main(["lowrank", "clean.wav", "--window-len", "512",
@@ -189,6 +237,8 @@ class TestDenoiseCommands:
         lines = (workdir / "sw.csv").read_text().splitlines()
         assert lines[0] == "lam,snr_db,objective"
         assert len(lines) == 4
+        for line in lines[1:]:
+            assert all(np.isfinite(float(field)) for field in line.split(","))
 
     def test_denoise_validates_before_filesystem(self, workdir):
         synth_pair(workdir)
@@ -253,6 +303,13 @@ class TestConfigFile:
 class TestExitCodes:
     def test_unknown_option_is_validation_error(self, workdir):
         assert main(["synth", "--bogus-flag"]) == 1
+
+    @pytest.mark.parametrize("command", [["lowrank", "clean.wav"],
+                                         ["fig3", "--duration", "0.5"]])
+    def test_zero_shift_divisor_rejected(self, workdir, capsys, command):
+        synth_pair(workdir)
+        assert main(command + ["--shift-div", "0"]) == 1
+        assert "shift divisor must be at least 1, got 0" in capsys.readouterr().err
 
     def test_success_is_zero(self, workdir):
         assert main(["synth", "--duration", "0.1", "-o", "ok.wav"]) == 0

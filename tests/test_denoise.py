@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from ipclr.denoise import (
     AdmmParams,
-    _RealAnalysis,
+    RealAnalysis,
     denoise,
     estimate_if_for,
     ipclr_objective,
@@ -16,12 +18,14 @@ from ipclr.frames import (
     StftConfig,
     analysis_window,
     derivative_window,
+    frame_count,
     hann_window,
+    istft,
     stft,
 )
 from ipclr.ifreq import IfMap, estimate_if
 from ipclr.ipc import build_corrector, ipc_istft, ipc_stft
-from ipclr.lowrank import nuclear_norm
+from ipclr.lowrank import nuclear_norm, rank_k_approx
 from ipclr.signals import SignalBuffer, SinusoidSpec, add_noise_at_snr, snr_db, synth_sinusoid_sum
 
 CFG = StftConfig(window_len=1024, hop=256, window_kind="hann_tight")
@@ -38,6 +42,20 @@ def two_sided_if_map(x, config):
     s_w = stft(x, config, hann_window(config.window_len))
     s_wp = stft(x, config, derivative_window(config.window_len))
     return estimate_if(s_w, s_wp)
+
+
+def two_sided_rank_k(x, config, e_half, k):
+    """istft(conj(E2) * rank_k(E2 * stft(x))) on the two-sided matrix.
+
+    E2 extends the one-sided ``e_half`` conjugate-symmetrically: row L-j is
+    the conjugate of row j.
+    """
+    L = config.window_len
+    e2 = np.concatenate([e_half, np.conj(e_half[1 : 1 + (L - 1) // 2][::-1])])
+    w = analysis_window(config)
+    spec = stft(x, config, w)
+    z = np.conj(e2) * rank_k_approx(e2 * spec.data, k)
+    return istft(replace(spec, data=z), w).samples
 
 
 @pytest.fixture(scope="module")
@@ -118,8 +136,26 @@ def real_operator_case(draw):
                      window_kind="hann_tight")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal(draw(st.integers(1, 400)))
-    op = _RealAnalysis(cfg, build_corrector(estimate_if_for(SignalBuffer(x, RATE), cfg)))
+    op = RealAnalysis(cfg, build_corrector(estimate_if_for(SignalBuffer(x, RATE), cfg)))
     return cfg, op, x, rng
+
+
+@st.composite
+def rank_k_case(draw):
+    """A real signal, an even or odd window, a random unimodular E and a rank k.
+
+    E is real (+-1) in row 0 and, for even L, in row L/2, as the operator needs.
+    """
+    L, div = draw(st.sampled_from([(64, 2), (64, 4), (64, 8), (63, 3), (63, 7), (65, 5)]))
+    cfg = StftConfig(window_len=L, hop=L // div, window_kind="hann_tight")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(draw(st.integers(1, 400)))
+    shape = (L // 2 + 1, frame_count(len(x), cfg, "cover"))
+    e = np.exp(2j * np.pi * rng.uniform(size=shape))
+    real_rows = [0, L // 2] if L % 2 == 0 else [0]
+    e[real_rows] = rng.choice([-1.0, 1.0], size=(len(real_rows), shape[1]))
+    k = min(draw(st.integers(1, 3)), shape[1])
+    return cfg, x, e, k
 
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -154,6 +190,15 @@ class TestRealOperator:
         s_real = np.linalg.svd(ax, compute_uv=False)
         s_two = np.linalg.svd(two_sided, compute_uv=False)
         assert np.abs(s_real - s_two).max() <= 1e-10 * s_two[0]
+
+    @PROPERTY
+    @given(rank_k_case())
+    def test_rank_k_round_trip_matches_two_sided(self, case):
+        cfg, x, e, k = case
+        op = RealAnalysis(cfg, e)
+        got = op.adjoint(rank_k_approx(op.forward(x), k), len(x))
+        ref = two_sided_rank_k(x, cfg, e, k)
+        assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(x)
 
 
 class TestDenoise:
@@ -233,7 +278,7 @@ class TestDenoise:
         _, noisy = noisy_pair
         if_map = estimate_if_for(noisy, CFG)
         x, state = denoise(noisy, AdmmParams(lam=5.0, max_iter=8), CFG, if_map=if_map)
-        ax = _RealAnalysis(CFG, build_corrector(if_map)).forward(x.samples)
+        ax = RealAnalysis(CFG, build_corrector(if_map)).forward(x.samples)
         residual = np.linalg.norm(ax - state.Z)
         assert residual == pytest.approx(state.residual_history[-1], rel=1e-12)
         np.testing.assert_allclose(state.U + state.Z, state.Y, rtol=0, atol=1e-12 * np.abs(state.Y).max())
@@ -303,7 +348,7 @@ class TestHannPairAtHalfHop:
         clean = default_signal(duration_s=2.56)
 
         def top_share(E):
-            s = np.linalg.svd(_RealAnalysis(cfg, E).forward(clean.samples), compute_uv=False)
+            s = np.linalg.svd(RealAnalysis(cfg, E).forward(clean.samples), compute_uv=False)
             return s[0] ** 2 / np.sum(s**2)
 
         E = build_corrector(estimate_if_for(clean, cfg))

@@ -105,6 +105,15 @@ class TestRankCell:
         )
         assert np.isfinite(value)
 
+    def test_noisy_if_source_needs_waveform_noise(self):
+        # Bin-wise noise has no waveform, so a "noisy" IF would be the clean one.
+        with pytest.raises(ValueError, match="noise_domain='time'"):
+            ExperimentSpec(kind="table1", if_source="noisy")
+        cfg = analysis_config(FAST["window_len"], 4)
+        with pytest.raises(ValueError, match="noise_domain='time'"):
+            rank_cell_snr(fast_signal(), cfg, "ipc", k=1, input_snr_db=10.0,
+                          if_source="noisy")
+
 
 class TestRepresent:
     @pytest.mark.parametrize("framing", ["valid", "cover"])
@@ -153,8 +162,9 @@ def svd_reference_cell(clean, config, cell, noise_domain, if_source):
     return snr_db(x_clean, back(svd(m).reconstruct(1)))
 
 
-@pytest.mark.parametrize("if_source", ["clean", "noisy"])
-@pytest.mark.parametrize("noise_domain", ["tf", "time"])
+@pytest.mark.parametrize("noise_domain,if_source", [
+    ("tf", "clean"), ("time", "clean"), ("time", "noisy"),
+])
 class TestTable1SharedWork:
     """run_table1 shares each hop's clean spectrogram, corrector and observations."""
 

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from ipclr.frames import (
     shifted_square_sum,
     stft,
 )
+import ipclr
 from ipclr.signals import SignalBuffer
 
 
@@ -369,3 +373,11 @@ class TestHelpers:
         )
         cfg2 = StftConfig(window_len=256, hop=64)
         np.testing.assert_allclose(analysis_window(cfg2), hann_window(256))
+
+
+def test_frames_is_the_only_module_calling_np_fft():
+    modules = sorted(
+        path.name for path in Path(ipclr.__file__).parent.glob("*.py")
+        if re.search(r"\bnp\.fft\b|\bnumpy\.fft\b|from numpy import fft", path.read_text())
+    )
+    assert modules == ["frames.py"]
