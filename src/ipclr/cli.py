@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -71,6 +72,16 @@ def _write_csv(path, header: str, rows) -> list[str]:
     return lines
 
 
+def _read_companion(path: str, observed: SignalBuffer, name: str) -> SignalBuffer:
+    """Read the WAV given for ``name``; it must match ``observed``'s length and rate."""
+    companion = read_wav(path)
+    if (len(companion), companion.sample_rate_hz) != (len(observed), observed.sample_rate_hz):
+        raise click.UsageError(
+            f"{name} {path}: {len(companion)} samples at {companion.sample_rate_hz:g} Hz, "
+            f"but the input has {len(observed)} samples at {observed.sample_rate_hz:g} Hz")
+    return companion
+
+
 def _format_db(value: float) -> str:
     return "inf" if math.isinf(value) else f"{value:.10g}"
 
@@ -117,8 +128,6 @@ def cli(ctx: click.Context, config: str | None):
 def cmd_synth(count, base_freq, freq, amp, duration, rate, snr, seed, normalize,
               output):
     """Synthesize a sum-of-sinusoids WAV, optionally with seeded noise."""
-    if not duration > 0:
-        raise click.UsageError("duration must be positive")
     if freq:
         if amp and len(amp) != len(freq):
             raise click.UsageError("--amp count must match --freq count")
@@ -192,9 +201,7 @@ def cmd_lowrank(input_wav, k, representation, window_len, shift_div, clean,
     if k < 1:
         raise click.UsageError("k must be at least 1")
     observed = read_wav(input_wav)
-    clean = read_wav(clean) if clean else observed
-    if len(clean) != len(observed):
-        raise click.UsageError("clean reference length must match the input")
+    clean = _read_companion(clean, observed, "--clean") if clean else observed
     config = experiments.analysis_config(window_len, shift_div)
 
     x_clean = experiments.valid_spectrogram(clean, config)
@@ -326,26 +333,17 @@ def cmd_fig3(count, noise, input_snr, k_max, k_min, duration, window_len,
 def cmd_denoise(input_wav, lam, rho, iters, window_len, shift_div, if_oracle, clean,
                 output, convergence_csv):
     """Nuclear-norm ADMM denoising of a WAV file."""
-    try:
-        params = AdmmParams(lam=lam, rho=rho, max_iter=iters)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    params = AdmmParams(lam=lam, rho=rho, max_iter=iters)
     config = experiments.analysis_config(window_len, shift_div, "hann_tight")
     observed = read_wav(input_wav)
-    if_map = None
-    if if_oracle:
-        oracle = read_wav(if_oracle)
-        if len(oracle) != len(observed):
-            raise click.UsageError("oracle WAV length must match the input")
-        if_map = estimate_if_for(oracle, config)
+    oracle = _read_companion(if_oracle, observed, "--if-oracle") if if_oracle else None
+    clean = _read_companion(clean, observed, "--clean") if clean else None
+    if_map = estimate_if_for(oracle, config) if if_oracle else None
     result, state = denoise(observed, params, config, if_map=if_map)
     write_wav(result, output, format="float32")
     click.echo(f"wrote {output}; final objective {state.objective_history[-1]:.6g}, "
                f"final primal residual {state.residual_history[-1]:.6g}")
-    if clean:
-        clean = read_wav(clean)
-        if len(clean) != len(observed):
-            raise click.UsageError("clean WAV length must match the input")
+    if clean is not None:
         before = snr_db(clean, observed)
         after = snr_db(clean, result)
         click.echo(f"SNR: {_format_db(before)} dB -> {_format_db(after)} dB")
@@ -372,16 +370,15 @@ def cmd_denoise(input_wav, lam, rho, iters, window_len, shift_div, if_oracle, cl
 def cmd_denoise_sweep(input_wav, clean_wav, lam_min, lam_max, lam_count, rho, iters,
                       window_len, shift_div, if_oracle, output, best_wav):
     """Regularization sweep on a log grid, scored against a clean reference."""
-    if lam_count < 1 or not 0 < lam_min <= lam_max:
-        raise click.UsageError("need 0 < lam-min <= lam-max and lam-count >= 1")
+    if lam_count < 1 or not 0 < lam_min <= lam_max < math.inf:
+        raise click.UsageError("need 0 < lam-min <= lam-max < inf and lam-count >= 1")
     observed = read_wav(input_wav)
-    clean = read_wav(clean_wav)
-    if len(clean) != len(observed):
-        raise click.UsageError("clean WAV length must match the input")
+    clean = _read_companion(clean_wav, observed, "CLEAN_WAV")
+    oracle = _read_companion(if_oracle, observed, "--if-oracle") if if_oracle else observed
     config = experiments.analysis_config(window_len, shift_div, "hann_tight")
     grid = list(np.geomspace(lam_min, lam_max, lam_count))
     params = AdmmParams(lam=grid[0], rho=rho, max_iter=iters)
-    if_map = estimate_if_for(read_wav(if_oracle) if if_oracle else observed, config)
+    if_map = estimate_if_for(oracle, config)
     rows = lambda_sweep(observed, clean, grid, params, config, if_map=if_map)
     _write_csv(output, "lam,snr_db,objective", rows)
     best = max(rows, key=lambda r: r.snr_db)
@@ -389,8 +386,7 @@ def cmd_denoise_sweep(input_wav, clean_wav, lam_min, lam_max, lam_count, rho, it
                f"best lam={best.lam:.6g} -> {_format_db(best.snr_db)} dB")
     click.echo(f"wrote {output}")
     if best_wav:
-        params = AdmmParams(lam=best.lam, rho=rho, max_iter=iters)
-        result, _ = denoise(observed, params, config, if_map=if_map)
+        result, _ = denoise(observed, replace(params, lam=best.lam), config, if_map=if_map)
         write_wav(result, best_wav, format="float32")
         click.echo(f"wrote {best_wav}")
 

@@ -17,7 +17,8 @@ which is real by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -56,10 +57,10 @@ class AdmmParams:
     tol: float = 0.0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.tol < 0:
@@ -274,23 +275,20 @@ def lambda_sweep(
 
     The IF map is estimated once from the observation and shared across
     the grid, so rows differ only in lam.  ``params.lam`` is ignored: each
-    row runs its grid value with ``params.rho``, ``max_iter`` and ``tol``.
+    row runs ``replace(params, lam=lam)`` for its grid value.
     Rows come back sorted by lam ascending.
     """
     if not grid:
         raise ValueError("lambda grid must be non-empty")
-    if any(not g > 0 for g in grid):
-        raise ValueError("lambda grid values must be positive")
+    if any(not 0 < g < math.inf for g in grid):
+        raise ValueError("lambda grid values must be positive and finite")
     if len(clean) != len(d):
         raise ValueError("clean reference length must match the observation")
     if if_map is None:
         if_map = estimate_if_for(d, config)
     rows = []
     for lam in sorted(grid):
-        run_params = AdmmParams(
-            lam=lam, rho=params.rho, max_iter=params.max_iter, tol=params.tol
-        )
-        x, state = denoise(d, run_params, config, if_map=if_map)
+        x, state = denoise(d, replace(params, lam=lam), config, if_map=if_map)
         rows.append(
             LambdaSweepRow(lam, snr_db(clean, x), state.objective_history[-1])
         )

@@ -257,30 +257,23 @@ def table1_layout(
     shift_divisors: tuple[int, ...] = SHIFT_DIVISORS,
     input_snrs_db: tuple[float, ...] = INPUT_SNRS_DB,
 ) -> list[dict]:
-    """Seed-averaged rows in the representation x shift layout."""
+    """Seed-averaged rows in the representation x shift layout.
+
+    A level with no cells gets no key; the clean column is the first clean cell.
+    """
+    groups: dict[tuple, list[float]] = {}
+    for c in cells:
+        key = (c.representation, c.shift_divisor, c.input_snr_db)
+        groups.setdefault(key, []).append(c.snr_db)
     rows = []
     for representation in REPRESENTATIONS:
         for div in shift_divisors:
             row = {"representation": representation, "shift": f"1/{div}"}
             for level in input_snrs_db:
-                values = [
-                    c.snr_db
-                    for c in cells
-                    if c.representation == representation
-                    and c.shift_divisor == div
-                    and c.input_snr_db == level
-                ]
-                if values:
+                if values := groups.get((representation, div, level)):
                     row[f"snr_in_{level:g}"] = float(np.mean(values))
-            clean_values = [
-                c.snr_db
-                for c in cells
-                if c.representation == representation
-                and c.shift_divisor == div
-                and c.input_snr_db is None
-            ]
-            if clean_values:
-                row["clean"] = clean_values[0]
+            if clean := groups.get((representation, div, None)):
+                row["clean"] = clean[0]
             rows.append(row)
     return rows
 

@@ -52,11 +52,8 @@ def estimate_if(
         raise ValueError("spectrogram pair must share one configuration")
     mag = np.abs(spec_w.data)
     peak = mag.max()
-    bins = np.arange(spec_w.n_bins, dtype=np.float64)[:, None]
-    values = np.broadcast_to(bins, spec_w.data.shape).copy()
+    ratio = np.zeros_like(spec_w.data)  # stays 0, so v = xi, where the guard fails
     if peak > 0.0:
-        ok = mag >= guard_eps * peak
-        ratio = np.zeros_like(spec_w.data)
-        np.divide(spec_wprime.data, spec_w.data, out=ratio, where=ok)
-        values[ok] = (values - ratio.imag)[ok]
-    return IfMap(values=values, config=spec_w.config)
+        np.divide(spec_wprime.data, spec_w.data, out=ratio, where=mag >= guard_eps * peak)
+    bins = np.arange(spec_w.n_bins, dtype=np.float64)[:, None]
+    return IfMap(values=bins - ratio.imag, config=spec_w.config)

@@ -91,6 +91,8 @@ def write_wav(x: SignalBuffer, path: str | Path, format: str = "pcm16") -> None:
     """Write a mono WAV file; samples outside [-1, 1] are clamped.
 
     The number of clamped samples is reported through the module logger.
+    The sample rate must be a whole number of Hz whose rate and byte rate
+    fit the header's 32-bit fields; any other rate raises ValueError.
     """
     if format not in FORMATS:
         raise ValueError(f"unsupported format {format!r}; expected one of {FORMATS}")
@@ -98,7 +100,6 @@ def write_wav(x: SignalBuffer, path: str | Path, format: str = "pcm16") -> None:
     clamped = int(np.count_nonzero((samples < -1.0) | (samples > 1.0)))
     if clamped and format != "float32":
         log.warning("%s: clamped %d samples outside [-1, 1]", path, clamped)
-    rate = int(round(x.sample_rate_hz))
 
     if format == "float32":
         payload = samples.astype("<f4").tobytes()
@@ -119,6 +120,11 @@ def write_wav(x: SignalBuffer, path: str | Path, format: str = "pcm16") -> None:
             bits, audio_format = 24, 1
 
     block_align = bits // 8
+    rate = x.sample_rate_hz
+    if not (float(rate).is_integer() and rate * block_align <= 0xFFFFFFFF):
+        raise ValueError(f"{path}: sample rate {rate:g} Hz is not an integer in "
+                         f"[1, {0xFFFFFFFF // block_align}] for {format}")
+    rate = int(rate)
     fmt_chunk = struct.pack(
         "<HHIIHH", audio_format, 1, rate, rate * block_align, block_align, bits
     )

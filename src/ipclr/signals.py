@@ -54,10 +54,10 @@ def synth_sinusoid_sum(
     An empty spec list gives an all-zero buffer.  Frequencies must be
     pairwise distinct and below Nyquist.
     """
-    if not duration_s > 0:
-        raise ValueError("duration_s must be positive")
-    if not sample_rate_hz > 0:
-        raise ValueError("sample_rate_hz must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be positive and finite, got {duration_s}")
+    if not 0 < sample_rate_hz < math.inf:
+        raise ValueError(f"sample_rate_hz must be positive and finite, got {sample_rate_hz}")
     freqs = [s.frequency_hz for s in specs]
     if len(set(freqs)) != len(freqs):
         raise ValueError("sinusoid frequencies must be pairwise distinct")

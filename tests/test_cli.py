@@ -70,6 +70,18 @@ class TestSynth:
         assert main(["synth", "--freq", "500", "--amp", "2", "--duration", "0.1",
                      "-o", "f.wav"]) == 0
 
+    # The 5e9 Hz case keeps the buffer at 5 samples; the header cannot hold the rate.
+    @pytest.mark.parametrize("args,message", [
+        (["--rate", "16000.5"], "sample rate 16000.5 Hz is not an integer"),
+        (["--rate", "5e9", "--duration", "1e-9"], "sample rate 5e+09 Hz is not an integer"),
+        (["--rate", "inf"], "sample_rate_hz must be positive and finite"),
+        (["--duration", "inf"], "duration_s must be positive and finite"),
+    ])
+    def test_bad_rate_or_duration_rejected(self, workdir, capsys, args, message):
+        assert main(["synth", *args, "-o", "bad.wav"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (workdir / "bad.wav").exists()
+
 
 class TestSpectrogram:
     def test_exports_and_ipc_diagnostic(self, workdir):
@@ -250,6 +262,58 @@ class TestDenoiseCommands:
         assert main(["synth", "--duration", "0.25", "-o", "short.wav"]) == 0
         assert main(["denoise", "noisy.wav", "--window-len", "512",
                      "--if-oracle", "short.wav"]) == 1
+
+    @pytest.mark.parametrize("args,outputs", [
+        (["denoise", "noisy.wav", "--lam", "inf"], ["denoised.wav"]),
+        (["denoise", "noisy.wav", "--lam", "nan"], ["denoised.wav"]),
+        (["denoise", "noisy.wav", "--rho", "inf"], ["denoised.wav"]),
+        (["denoise-sweep", "noisy.wav", "clean.wav", "--lam-max", "inf", "--best-wav",
+          "best.wav"], ["sweep.csv", "best.wav"]),
+        (["denoise-sweep", "noisy.wav", "clean.wav", "--rho", "nan"], ["sweep.csv"]),
+    ])
+    def test_non_finite_solver_inputs_rejected(self, workdir, args, outputs):
+        synth_pair(workdir)
+        assert main(args + ["--window-len", "512", "--iters", "2"]) == 1
+        assert not any((workdir / name).exists() for name in outputs)
+
+
+# Each command reads a second WAV beside its input; (command, option named in
+# the error, files the run would write).
+COMPANION_SITES = {
+    "lowrank --clean": (["lowrank", "noisy.wav", "--clean", "{bad}", "-o", "out.wav"],
+                        "--clean", ["out.wav"]),
+    "denoise --if-oracle": (["denoise", "noisy.wav", "--if-oracle", "{bad}", "-o", "out.wav",
+                             "--convergence-csv", "conv.csv"], "--if-oracle",
+                            ["out.wav", "conv.csv"]),
+    "denoise --clean": (["denoise", "noisy.wav", "--clean", "{bad}"], "--clean",
+                        ["denoised.wav"]),
+    "denoise-sweep CLEAN_WAV": (["denoise-sweep", "noisy.wav", "{bad}", "--lam-count", "2",
+                                 "--best-wav", "best.wav"], "CLEAN_WAV",
+                                ["sweep.csv", "best.wav"]),
+    "denoise-sweep --if-oracle": (["denoise-sweep", "noisy.wav", "clean.wav", "--lam-count",
+                                   "2", "--if-oracle", "{bad}", "--best-wav", "best.wav"],
+                                  "--if-oracle", ["sweep.csv", "best.wav"]),
+}
+
+
+@pytest.mark.parametrize("site", COMPANION_SITES)
+@pytest.mark.parametrize("bad,synth_args", [
+    ("short.wav", ["--duration", "0.25"]),
+    # 8000 samples, as many as the 0.5 s input at 16 kHz, at half its rate.
+    ("slow.wav", ["--duration", "1.0", "--rate", "8000"]),
+])
+def test_companion_wav_must_match_input(workdir, capsys, site, bad, synth_args):
+    synth_pair(workdir)
+    assert main(["synth", *synth_args, "-o", bad]) == 0
+    capsys.readouterr()
+    args, option, outputs = COMPANION_SITES[site]
+    args = [a.format(bad=bad) for a in args] + ["--window-len", "512"]
+    if args[0] != "lowrank":
+        args += ["--iters", "2"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"{option} {bad}:" in err and "but the input has 8000 samples at 16000 Hz" in err
+    assert not any((workdir / name).exists() for name in outputs)
 
 
 class TestConfigFile:

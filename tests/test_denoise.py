@@ -1,4 +1,6 @@
+import importlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from ipclr.lowrank import nuclear_norm, rank_k_approx
 from ipclr.signals import SignalBuffer, SinusoidSpec, add_noise_at_snr, snr_db, synth_sinusoid_sum
 
 CFG = StftConfig(window_len=1024, hop=256, window_kind="hann_tight")
+# The package re-exports the function ``denoise``, which hides the module's name.
+DENOISE_MODULE = importlib.import_module("ipclr.denoise")
 RATE = 16000.0
 
 
@@ -74,6 +78,11 @@ class TestParams:
             AdmmParams(lam=1.0, max_iter=0)
         with pytest.raises(ValueError):
             AdmmParams(lam=1.0, tol=-1.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="lam must be positive and finite"):
+                AdmmParams(lam=bad)
+            with pytest.raises(ValueError, match="rho must be positive and finite"):
+                AdmmParams(lam=1.0, rho=bad)
 
     def test_defaults(self):
         p = AdmmParams(lam=2.0)
@@ -383,6 +392,28 @@ class TestLambdaSweep:
             lambda_sweep(noisy, clean, [], AdmmParams(lam=1.0), CFG)
         with pytest.raises(ValueError):
             lambda_sweep(noisy, clean, [1.0, -2.0], AdmmParams(lam=1.0), CFG)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_grid_before_any_solve(self, noisy_pair, monkeypatch, bad):
+        clean, noisy = noisy_pair
+        calls = []
+        monkeypatch.setattr(DENOISE_MODULE, "denoise", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="positive and finite"):
+            lambda_sweep(noisy, clean, [1.0, bad], AdmmParams(lam=1.0), CFG)
+        assert calls == []
+
+    def test_rows_run_params_with_only_lam_replaced(self, noisy_pair, monkeypatch):
+        clean, noisy = noisy_pair
+        seen = []
+
+        def fake_denoise(d, params, config, if_map=None):
+            seen.append(params)
+            return d, SimpleNamespace(objective_history=[0.0])
+
+        monkeypatch.setattr(DENOISE_MODULE, "denoise", fake_denoise)
+        params = AdmmParams(lam=5.0, rho=2.5, max_iter=7, tol=1e-3)
+        lambda_sweep(noisy, clean, [3.0, 0.5], params, CFG)
+        assert seen == [replace(params, lam=0.5), replace(params, lam=3.0)]
 
     def test_snr_curve_unimodal_over_log_grid(self, noisy_pair):
         clean, noisy = noisy_pair

@@ -4,6 +4,7 @@ import pytest
 from ipclr.experiments import (
     REPRESENTATIONS,
     ExperimentSpec,
+    RankCell,
     analysis_config,
     default_signal,
     harmonic_specs,
@@ -205,6 +206,32 @@ class TestSweeps:
         assert len(layout) == 9
         for row in layout:
             assert set(row) == {"representation", "shift", "snr_in_10", "clean"}
+
+    def test_table1_layout_averages_each_group(self):
+        # Hop 1/4 has no 10 dB cells; each clean group holds two cells.
+        divs, levels = (2, 4), (0.0, 10.0)
+        cells = [
+            RankCell(r, div, level, 1, seed, 0.37 * len(str((r, div, level))) + seed)
+            for r in REPRESENTATIONS for div in divs for level in levels + (None,)
+            for seed in (0, 1, 2) if (div, level) != (4, 10.0)
+        ]
+        expected = []
+        for r in REPRESENTATIONS:
+            for div in divs:
+                row = {"representation": r, "shift": f"1/{div}"}
+                for level in levels:
+                    group = [c.snr_db for c in cells
+                             if (c.representation, c.shift_divisor, c.input_snr_db)
+                             == (r, div, level)]
+                    if group:
+                        row[f"snr_in_{level:g}"] = float(np.mean(group))
+                row["clean"] = next(c.snr_db for c in cells if c.input_snr_db is None
+                                    and (c.representation, c.shift_divisor) == (r, div))
+                expected.append(row)
+        layout = table1_layout(cells, divs, levels)
+        assert layout == expected
+        assert [list(row) for row in layout] == [list(row) for row in expected]
+        assert "snr_in_10" not in layout[1] and "snr_in_10" in layout[0]
 
     def test_fig3_rows_per_k_and_representation(self):
         spec = ExperimentSpec(

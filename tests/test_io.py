@@ -125,6 +125,24 @@ class TestWriteWav:
         write_wav(x, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("fmt,rate", [
+        ("pcm16", 16000.5), ("pcm16", 0.5), ("pcm16", 5e9), ("pcm16", np.inf),
+        ("pcm16", 2.0**31), ("float32", 2.0**30),
+    ])
+    def test_rejects_rate_the_header_cannot_hold(self, tmp_path, fmt, rate):
+        p = tmp_path / "r.wav"
+        with pytest.raises(ValueError, match="is not an integer in"):
+            write_wav(SignalBuffer(np.zeros(4), rate), p, format=fmt)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("fmt,rate", [
+        ("pcm16", 2**31 - 1), ("pcm24", 1431655765), ("float32", 2**30 - 1), ("pcm16", 1),
+    ])
+    def test_largest_and_smallest_rates_round_trip(self, tmp_path, fmt, rate):
+        p = tmp_path / "r.wav"
+        write_wav(SignalBuffer(np.zeros(4), float(rate)), p, format=fmt)
+        assert read_wav(p).sample_rate_hz == rate
+
 
 def elementwise_csv(m):
     """CSV text of write_matrix_csv, formed entry by entry from numpy scalars."""

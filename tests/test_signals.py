@@ -74,6 +74,14 @@ class TestSynth:
         with pytest.raises(ValueError):
             synth_sinusoid_sum([], 0.0, 16000.0)
 
+    @pytest.mark.parametrize("duration,rate,name", [
+        (math.inf, 16000.0, "duration_s"), (math.nan, 16000.0, "duration_s"),
+        (1.0, math.inf, "sample_rate_hz"), (1.0, math.nan, "sample_rate_hz"),
+    ])
+    def test_rejects_non_finite_duration_or_rate(self, duration, rate, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            synth_sinusoid_sum([SinusoidSpec(1.0, 100.0)], duration, rate)
+
     def test_linearity(self):
         a = [SinusoidSpec(2.0, 100.0), SinusoidSpec(1.0, 250.0)]
         b = [SinusoidSpec(0.5, 375.0)]
