@@ -320,7 +320,8 @@ def cmd_fig3(count, noise, input_snr, k_max, k_min, duration, window_len,
 @click.argument("input_wav", type=INPUT_FILE)
 @click.option("--lam", default=1.0, show_default=True, help="Regularization weight.")
 @click.option("--rho", default=1.0, show_default=True, help="ADMM penalty.")
-@click.option("--iters", default=100, show_default=True)
+@click.option("--iters", default=100, show_default=True,
+              help="Iteration cap; the solve stops earlier once its output is certified.")
 @click.option("--window-len", default=4096, show_default=True)
 @click.option("--shift-div", default=4, show_default=True)
 @click.option("--if-oracle", type=INPUT_FILE, default=None,
@@ -329,7 +330,7 @@ def cmd_fig3(count, noise, input_snr, k_max, k_min, duration, window_len,
               help="Clean reference for SNR reporting.")
 @click.option("-o", "--output", default="denoised.wav", show_default=True)
 @click.option("--convergence-csv", default=None,
-              help="Write per-iteration objective/residual CSV here.")
+              help="Write per-iteration objective, residual, bound and kept rank here.")
 def cmd_denoise(input_wav, lam, rho, iters, window_len, shift_div, if_oracle, clean,
                 output, convergence_csv):
     """Nuclear-norm ADMM denoising of a WAV file."""
@@ -343,14 +344,19 @@ def cmd_denoise(input_wav, lam, rho, iters, window_len, shift_div, if_oracle, cl
     write_wav(result, output, format="float32")
     click.echo(f"wrote {output}; final objective {state.objective_history[-1]:.6g}, "
                f"final primal residual {state.residual_history[-1]:.6g}")
+    click.echo(f"{state.iterations} iterations, "
+               f"{'certified' if state.certified else 'not certified'}: distance bound "
+               f"{state.bound_history[-1]:.3g} for tol x ||x|| = "
+               f"{params.tol * float(np.linalg.norm(result.samples)):.3g}")
     if clean is not None:
         before = snr_db(clean, observed)
         after = snr_db(clean, result)
         click.echo(f"SNR: {_format_db(before)} dB -> {_format_db(after)} dB")
     if convergence_csv:
-        _write_csv(convergence_csv, "iteration,objective,primal_residual",
-                   [(i, *pair) for i, pair in enumerate(
-                       zip(state.objective_history, state.residual_history))])
+        _write_csv(convergence_csv, "iteration,objective,primal_residual,bound,kept_rank",
+                   [(i, *row) for i, row in enumerate(
+                       zip(state.objective_history, state.residual_history,
+                           state.bound_history, state.rank_history))])
         click.echo(f"wrote {convergence_csv}")
 
 
@@ -361,7 +367,7 @@ def cmd_denoise(input_wav, lam, rho, iters, window_len, shift_div, if_oracle, cl
 @click.option("--lam-max", default=1e3, show_default=True)
 @click.option("--lam-count", default=13, show_default=True)
 @click.option("--rho", default=1.0, show_default=True)
-@click.option("--iters", default=100, show_default=True)
+@click.option("--iters", default=100, show_default=True, help="Iteration cap per solve.")
 @click.option("--window-len", default=4096, show_default=True)
 @click.option("--shift-div", default=4, show_default=True)
 @click.option("--if-oracle", type=INPUT_FILE, default=None)

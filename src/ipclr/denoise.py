@@ -17,8 +17,12 @@ which is real by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +39,7 @@ from .frames import (
 )
 from .ifreq import IfMap, estimate_if
 from .ipc import build_corrector
-from .lowrank import nuclear_norm, svt
+from .lowrank import _svt_kept, nuclear_norm, svt  # svt: wrapped by perfbench
 from .signals import SignalBuffer, snr_db
 
 
@@ -45,56 +49,87 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class AdmmParams:
-    """Solver knobs: regularization lam, penalty rho, iteration budget.
+    """Solver knobs: regularization lam, penalty rho, iteration cap, stop tolerance.
 
-    ``tol`` is a relative primal-residual stop; the default 0 runs exactly
-    ``max_iter`` iterations.
+    The solve stops at the first iterate x_k, k >= 2, whose certified
+    distance to the exact minimizer, ``AdmmState.bound_history``, is at most
+    ``tol * ||x_k||``, and after ``max_iter`` iterations at the latest.
+    ``tol=0`` runs exactly ``max_iter`` iterations.
     """
 
     lam: float
     rho: float = 1.0
     max_iter: int = 100
-    tol: float = 0.0
+    tol: float = 1e-4
 
     def __post_init__(self):
         if not 0 < self.lam < math.inf:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if not 0 < self.rho < math.inf:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.tol < 0:
-            raise ValueError("tol must be non-negative")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be non-negative and finite, got {self.tol}")
 
 
 @dataclass
 class AdmmState:
     """Final iterate and per-iteration diagnostics of one solve.
 
-    The split variable and the scaled dual of the last iteration are both
-    fixed by the input of its thresholding step, ``Y = A x + U_prev``:
-    Z = svt(Y, threshold) and U = Y - Z.  The state keeps Y alone, half the
-    memory of keeping both, and ``Z`` and ``U`` recompute them on access.
-    All three are real L x T matrices in the one-sided coordinates of
-    ``RealAnalysis``; their norms and singular values equal those of the
-    two-sided complex matrices.
+    Entry k-1 of each history belongs to iterate x_k: the objective
+    P(x_k) = 0.5 * ||x_k - d||^2 + lam * ||A x_k||_*, the primal residual
+    ||A x_k - Z_k||, the distance bound ||x_k - x*|| <= sqrt(2 (P(x_k) -
+    D(rho U_k))) and the rank kept by the thresholding step of iteration k.
+    ``certified`` says whether the last bound met ``params.tol``.
+
+    The last iteration's thresholding input ``Y = A x + U_prev``, split
+    variable ``Z = svt(Y, lam / rho)`` and scaled dual ``U = Y - Z`` are
+    real L x T matrices in the one-sided coordinates of ``RealAnalysis``;
+    their norms and singular values equal those of the two-sided complex
+    matrices.  The state keeps none of them: the first access to any of
+    the three reruns the deterministic solve for ``iterations`` iterations
+    from ``d``, ``config`` and ``if_map`` (the caller's map, or None when
+    the solve estimated it from ``d``), which gives them bit for bit.
     """
 
     x: SignalBuffer
-    Y: np.ndarray
-    threshold: float
+    d: SignalBuffer = field(repr=False)
+    params: AdmmParams
+    config: StftConfig
+    if_map: IfMap | None = field(repr=False)
+    certified: bool = False
     objective_history: list[float] = field(default_factory=list)
     residual_history: list[float] = field(default_factory=list)
+    bound_history: list[float] = field(default_factory=list)
+    rank_history: list[int] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        """Number of iterations the solve ran."""
+        return len(self.residual_history)
+
+    @cached_property
+    def _last(self) -> _Iterate:
+        iterates = _iterates(self.d, _operator(self.d, self.config, self.if_map), self.params)
+        return next(itertools.islice(iterates, self.iterations - 1, None))
+
+    @property
+    def Y(self) -> np.ndarray:
+        """Thresholding input of the last iteration, A x + U_prev."""
+        return self._last.Y
 
     @property
     def Z(self) -> np.ndarray:
-        """Split variable of the last iteration, svt(Y, threshold)."""
-        return svt(self.Y, self.threshold)
+        """Split variable of the last iteration, svt(Y, lam / rho)."""
+        return self._last.Z
 
     @property
     def U(self) -> np.ndarray:
         """Scaled dual of the last iteration, Y - Z."""
-        return self.Y - self.Z
+        return self._last.U
 
 
 class LambdaSweepRow(NamedTuple):
@@ -196,6 +231,63 @@ def ipclr_objective(
     return data_term + lam * nuclear_norm(ax)
 
 
+class _Iterate(NamedTuple):
+    """Iterate k of the scaled-dual ADMM, with A^T U_k for the dual bound."""
+
+    x: np.ndarray
+    ax: np.ndarray
+    Y: np.ndarray
+    Z: np.ndarray
+    U: np.ndarray
+    kept: int
+    at_u: np.ndarray
+
+
+def _iterates(d: SignalBuffer, op: RealAnalysis, params: AdmmParams) -> Iterator[_Iterate]:
+    """The iterates k = 1, 2, ... of the solve, without end, from Z_0 = A d and U_0 = 0.
+
+    Iteration k runs the x-update x_k = (d + rho A^T (Z_{k-1} - U_{k-1})) / (1 + rho),
+    Y_k = A x_k + U_{k-1}, Z_k = svt(Y_k, lam / rho) and U_k = Y_k - Z_k.
+    The adjoint A^T (Z_k - U_k) of iteration k+1 is taken before iterate k
+    is yielded, and because A^T A = I it also gives
+    A^T U_k = (x_k + A^T U_{k-1} - A^T (Z_k - U_k)) / 2 without a transform
+    of its own: a caller stopping at iterate k has paid for exactly that
+    one transform more than the k iterations.
+    """
+    n = len(d)
+    threshold = params.lam / params.rho
+    Z = op.forward(d.samples)
+    U = np.zeros_like(Z)
+    back = op.adjoint(Z - U, n)
+    at_u = np.zeros(n)
+    while True:
+        x = (d.samples + params.rho * back) / (1.0 + params.rho)
+        if not np.all(np.isfinite(x)):
+            raise NumericalError("ADMM iterate diverged to non-finite values")
+        ax = op.forward(x)
+        Y = ax + U
+        Z, kept = _svt_kept(Y, threshold)
+        U = Y - Z
+        back = op.adjoint(Z - U, n)
+        at_u = 0.5 * (x + at_u - back)
+        yield _Iterate(x, ax, Y, Z, U, kept, at_u)
+
+
+def _operator(d: SignalBuffer, config: StftConfig, if_map: IfMap | None) -> RealAnalysis:
+    """The solver's A for observation ``d``, with E from ``if_map`` or from ``d``."""
+    if config.window_kind != "hann_tight":
+        raise ValueError("denoising requires a tight analysis window")
+    if if_map is None:
+        if_map = estimate_if_for(d, config)
+    expected = (config.window_len // 2 + 1, frame_count(len(d), config, "cover"))
+    if if_map.values.shape != expected:
+        raise ValueError(
+            f"IF map shape {if_map.values.shape} does not match the "
+            f"one-sided transform shape {expected} (L/2+1 rows)"
+        )
+    return RealAnalysis(config, build_corrector(if_map))
+
+
 def denoise(
     d: SignalBuffer,
     params: AdmmParams,
@@ -206,59 +298,60 @@ def denoise(
 
     The phase correction is built once, from the one-sided ``if_map`` when
     given (oracle mode) and otherwise from the noisy observation itself,
-    and stays fixed for the whole solve so the prior is convex.  Each iteration runs one
-    forward and one adjoint transform and one thresholding step on the real
-    L x T form of A x, plus one nuclear norm for the exact objective
-    0.5 * ||x - d||^2 + lam * ||A x||_* recorded in ``objective_history``.
+    and stays fixed for the whole solve so the prior is convex.  Each
+    iteration runs one forward and one adjoint transform and one
+    thresholding step on the real L x T form of A x, plus one nuclear norm
+    for the exact objective P(x) = 0.5 * ||x - d||^2 + lam * ||A x||_*.
 
-    Returns the denoised signal and the full solver state.
+    The stop is certified.  ``svt`` clips every singular value of U_k at
+    lam / rho, so W_k = rho U_k is dual-feasible and
+    D(W_k) = <A^T W_k, d> - 0.5 * ||A^T W_k||^2 bounds P from below; as P is
+    1-strongly convex, ||x_k - x*|| <= sqrt(2 (P(x_k) - D(W_k))) (Boyd et
+    al., "Distributed Optimization and Statistical Learning via ADMM",
+    2011, section 3.3).  A^T W_k comes from the adjoint the next x-update
+    needs anyway (see ``_iterates``), so the bound costs no transform, no
+    ``svt`` and no nuclear norm.  The solve returns the first x_k with
+    k >= 2 whose bound is at most ``params.tol * ||x_k||``, or x_max_iter.
+    x_1 is never certified: it equals d up to rounding, and a bound met
+    there would return the observation itself.
+
+    Returns the denoised signal and the solver state.
     """
     if len(d) == 0:
         raise ValueError("observation must be non-empty")
-    if config.window_kind != "hann_tight":
-        raise ValueError("denoising requires a tight analysis window")
-    if if_map is None:
-        if_map = estimate_if_for(d, config)
-    n = len(d)
-    expected = (config.window_len // 2 + 1, frame_count(n, config, "cover"))
-    if if_map.values.shape != expected:
-        raise ValueError(
-            f"IF map shape {if_map.values.shape} does not match the "
-            f"one-sided transform shape {expected} (L/2+1 rows)"
-        )
-    op = RealAnalysis(config, build_corrector(if_map))
-
-    x = d.samples.copy()
-    Z = op.forward(x)
-    U = np.zeros_like(Z)
-    threshold = params.lam / params.rho
-    objective_history: list[float] = []
-    residual_history: list[float] = []
-
-    for _ in range(params.max_iter):
-        x = (d.samples + params.rho * op.adjoint(Z - U, n)) / (1.0 + params.rho)
-        if not np.all(np.isfinite(x)):
-            raise NumericalError("ADMM iterate diverged to non-finite values")
-        ax = op.forward(x)
-        Y = ax + U
-        Z = svt(Y, threshold)
-        U = Y - Z
-        residual = float(np.linalg.norm(ax - Z))
-        ax_norm = float(np.linalg.norm(ax))
-        objective = 0.5 * float(np.sum((x - d.samples) ** 2))
-        objective += params.lam * nuclear_norm(ax)
-        objective_history.append(objective)
-        residual_history.append(residual)
-        if params.tol > 0 and residual <= params.tol * max(ax_norm, 1e-300):
+    op = _operator(d, config, if_map)
+    objectives, residuals, bounds, ranks = [], [], [], []
+    certified = False
+    # No enumerate: it keeps the last iterate alive while the next is computed.
+    for it in itertools.islice(_iterates(d, op, params), params.max_iter):
+        objective = 0.5 * float(np.sum((it.x - d.samples) ** 2))
+        objective += params.lam * nuclear_norm(it.ax)
+        at_w = params.rho * it.at_u
+        dual = float(at_w @ d.samples) - 0.5 * float(at_w @ at_w)
+        bound = math.sqrt(2.0 * max(objective - dual, 0.0))
+        objectives.append(objective)
+        residuals.append(float(np.linalg.norm(it.ax - it.Z)))
+        bounds.append(bound)
+        ranks.append(it.kept)
+        x = it.x
+        certified = (params.tol > 0 and len(bounds) >= 2
+                     and bound <= params.tol * float(np.linalg.norm(x)))
+        if certified:
             break
+        del it  # so the next iterate's matrices can reuse this one's memory
 
     out = SignalBuffer(x, d.sample_rate_hz)
     state = AdmmState(
         x=out,
-        Y=Y,
-        threshold=threshold,
-        objective_history=objective_history,
-        residual_history=residual_history,
+        d=d,
+        params=params,
+        config=config,
+        if_map=if_map,
+        certified=certified,
+        objective_history=objectives,
+        residual_history=residuals,
+        bound_history=bounds,
+        rank_history=ranks,
     )
     return out, state
 

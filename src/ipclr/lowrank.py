@@ -174,6 +174,11 @@ def svt(m: np.ndarray, threshold: float) -> np.ndarray:
     is off by at most about delta / threshold in norm, plus the rounding
     of the products.
     """
+    return _svt_kept(m, threshold)[0]
+
+
+def _svt_kept(m: np.ndarray, threshold: float) -> tuple[np.ndarray, int]:
+    """``svt(m, threshold)`` and the number of singular values it keeps."""
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
     m = _check_finite(m)
@@ -183,4 +188,4 @@ def svt(m: np.ndarray, threshold: float) -> np.ndarray:
     keep = sigma > threshold
     v = v[:, keep]
     w = (v * (1.0 - threshold / sigma[keep])) @ v.conj().T
-    return m @ w if tall else w @ m
+    return (m @ w if tall else w @ m), v.shape[1]

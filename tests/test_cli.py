@@ -221,8 +221,9 @@ class TestTable1AndFig3:
 
 
 class TestDenoiseCommands:
-    def test_denoise_tiny_lambda_returns_input(self, workdir):
+    def test_denoise_tiny_lambda_returns_input(self, workdir, capsys):
         clean_p, noisy_p = synth_pair(workdir)
+        capsys.readouterr()
         rc = main(["denoise", "noisy.wav", "--window-len", "512", "--lam", "1e-12",
                    "--iters", "5", "-o", "dn.wav", "--convergence-csv", "conv.csv"])
         assert rc == 0
@@ -230,8 +231,13 @@ class TestDenoiseCommands:
         dev = np.linalg.norm(out.samples - noisy.samples) / np.linalg.norm(noisy.samples)
         assert dev < 1e-6
         conv = (workdir / "conv.csv").read_text().splitlines()
-        assert conv[0] == "iteration,objective,primal_residual"
-        assert len(conv) == 6
+        assert conv[0] == "iteration,objective,primal_residual,bound,kept_rank"
+        rows = [line.split(",") for line in conv[1:]]
+        # One row per iteration run: the stop certifies x_2, as x_1 is never checked.
+        assert [int(row[0]) for row in rows] == list(range(len(rows)))
+        assert 2 <= len(rows) < 5
+        assert f"{len(rows)} iterations, certified" in capsys.readouterr().out
+        assert float(rows[-1][3]) <= 1e-4 * np.linalg.norm(out.samples) * (1 + 1e-6)
 
     def test_denoise_oracle_flag(self, workdir):
         synth_pair(workdir)

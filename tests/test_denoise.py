@@ -1,4 +1,5 @@
 import importlib
+import itertools
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ from ipclr.frames import (
 )
 from ipclr.ifreq import IfMap, estimate_if
 from ipclr.ipc import build_corrector, ipc_istft, ipc_stft
-from ipclr.lowrank import nuclear_norm, rank_k_approx
+from ipclr.lowrank import nuclear_norm, rank_k_approx, svt
 from ipclr.signals import SignalBuffer, SinusoidSpec, add_noise_at_snr, snr_db, synth_sinusoid_sum
 
 CFG = StftConfig(window_len=1024, hop=256, window_kind="hann_tight")
@@ -79,6 +80,13 @@ class TestParams:
         with pytest.raises(ValueError):
             AdmmParams(lam=1.0, tol=-1.0)
         for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol must be non-negative and finite"):
+                AdmmParams(lam=1.0, tol=bad)
+        for bad in (2.5, True, 10.0):
+            with pytest.raises(ValueError, match="max_iter must be an integer"):
+                AdmmParams(lam=1.0, max_iter=bad)
+        assert AdmmParams(lam=1.0, max_iter=np.int64(3)).max_iter == 3
+        for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="lam must be positive and finite"):
                 AdmmParams(lam=bad)
             with pytest.raises(ValueError, match="rho must be positive and finite"):
@@ -86,7 +94,7 @@ class TestParams:
 
     def test_defaults(self):
         p = AdmmParams(lam=2.0)
-        assert p.rho == 1.0 and p.max_iter == 100 and p.tol == 0.0
+        assert p.rho == 1.0 and p.max_iter == 100 and p.tol == 1e-4
 
 
 class TestObjective:
@@ -235,7 +243,7 @@ class TestDenoise:
 
     def test_residual_trend_after_burn_in(self, noisy_pair):
         _, noisy = noisy_pair
-        _, state = denoise(noisy, AdmmParams(lam=5.0, max_iter=60), CFG)
+        _, state = denoise(noisy, AdmmParams(lam=5.0, max_iter=60, tol=0.0), CFG)
         res = np.array(state.residual_history)
         assert np.all(res[11:] <= res[10:-1] * 1.01)
 
@@ -260,7 +268,7 @@ class TestDenoise:
 
     def test_histories_finite_nonnegative(self, noisy_pair):
         _, noisy = noisy_pair
-        _, state = denoise(noisy, AdmmParams(lam=2.0, max_iter=15), CFG)
+        _, state = denoise(noisy, AdmmParams(lam=2.0, max_iter=15, tol=0.0), CFG)
         obj = np.array(state.objective_history)
         res = np.array(state.residual_history)
         assert obj.shape == (15,) and res.shape == (15,)
@@ -269,7 +277,7 @@ class TestDenoise:
 
     def test_deterministic_bit_identical(self, noisy_pair):
         _, noisy = noisy_pair
-        p = AdmmParams(lam=3.0, max_iter=12)
+        p = AdmmParams(lam=3.0, max_iter=12, tol=0.0)
         x1, s1 = denoise(noisy, p, CFG)
         x2, s2 = denoise(noisy, p, CFG)
         assert np.array_equal(x1.samples, x2.samples)
@@ -363,6 +371,103 @@ class TestHannPairAtHalfHop:
         E = build_corrector(estimate_if_for(clean, cfg))
         assert top_share(np.ones_like(E)) < 0.5
         assert top_share(E) >= 0.95
+
+
+def ndarrays(obj, seen=None):
+    """Every numpy array reachable through ``obj``'s attributes, lists and tuples."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from ndarrays(item, seen)
+    elif hasattr(obj, "__dict__"):
+        for value in vars(obj).values():
+            yield from ndarrays(value, seen)
+
+
+class TestCertifiedStop:
+    CFG512 = StftConfig(window_len=512, hop=128, window_kind="hann_tight")
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        noisy = add_noise_at_snr(harmonic_signal(0.5), 10.0, seed=0)
+        return noisy, estimate_if_for(noisy, self.CFG512)
+
+    @pytest.mark.parametrize("lam, ref_iters", [(0.3, 100), (3.0, 100), (30.0, 200)])
+    def test_bound_covers_distance_to_long_run(self, instance, lam, ref_iters):
+        noisy, if_map = instance
+        x, state = denoise(noisy, AdmmParams(lam=lam), self.CFG512, if_map=if_map)
+        x_ref, ref = denoise(noisy, AdmmParams(lam=lam, max_iter=ref_iters, tol=0.0),
+                             self.CFG512, if_map=if_map)
+        assert state.certified and 2 <= state.iterations < ref_iters
+        bound, ref_bound = state.bound_history[-1], ref.bound_history[-1]
+        assert bound <= 1e-4 * np.linalg.norm(x.samples)
+        assert ref_bound <= 0.05 * bound
+        # Both lie within their bounds of the same minimizer.
+        assert np.linalg.norm(x.samples - x_ref.samples) <= bound + ref_bound
+
+    def test_dual_recursion_matches_adjoint(self, instance):
+        noisy, if_map = instance
+        params = AdmmParams(lam=3.0)
+        op = DENOISE_MODULE._operator(noisy, self.CFG512, if_map)
+        iterates = DENOISE_MODULE._iterates(noisy, op, params)
+        for it in itertools.islice(iterates, 12):
+            direct = op.adjoint(it.U, len(noisy))
+            assert np.linalg.norm(it.at_u - direct) <= 1e-12 * np.linalg.norm(direct)
+
+    def test_zero_tol_runs_max_iter(self, instance):
+        # At lam -> 0 every bound from x_2 on is about 0; tol=0 must still run on.
+        noisy, if_map = instance
+        _, state = denoise(noisy, AdmmParams(lam=1e-12, max_iter=7, tol=0.0),
+                           self.CFG512, if_map=if_map)
+        assert state.iterations == 7 and not state.certified
+        assert len(state.bound_history) == len(state.rank_history) == 7
+
+    def test_first_iterate_is_never_certified(self, instance):
+        noisy, if_map = instance
+        _, state = denoise(noisy, AdmmParams(lam=1e-12), self.CFG512, if_map=if_map)
+        assert state.iterations == 2 and state.certified
+        _, one = denoise(noisy, AdmmParams(lam=1e-12, max_iter=1), self.CFG512, if_map=if_map)
+        assert one.iterations == 1 and not one.certified
+
+    def test_histories_describe_each_iterate(self, instance):
+        noisy, if_map = instance
+        params = AdmmParams(lam=30.0, max_iter=40)
+        x, state = denoise(noisy, params, self.CFG512, if_map=if_map)
+        assert state.certified == (
+            state.bound_history[-1] <= params.tol * np.linalg.norm(x.samples))
+        assert all(b >= 0 for b in state.bound_history)
+        kept = np.linalg.svd(state.Y, compute_uv=False) > params.lam / params.rho
+        assert state.rank_history[-1] == int(kept.sum())
+        assert all(1 <= r <= min(state.Y.shape) for r in state.rank_history)
+
+    def test_state_rebuilds_last_matrices_bit_for_bit(self, noisy_pair):
+        # No IF map given: the rebuild estimates it from the observation again.
+        _, noisy = noisy_pair
+        x, state = denoise(noisy, AdmmParams(lam=5.0, max_iter=40), CFG)
+        L, T = CFG.window_len, frame_count(len(noisy), CFG, "cover")
+        assert state.certified and state.iterations < 40
+        assert all(a.size < L * T for a in ndarrays(state))
+
+        # The textbook scaled-dual loop, run for as many iterations.
+        op = RealAnalysis(CFG, build_corrector(estimate_if_for(noisy, CFG)))
+        Z = op.forward(noisy.samples)
+        U = np.zeros_like(Z)
+        for _ in range(state.iterations):
+            x_k = (noisy.samples + op.adjoint(Z - U, len(noisy))) / 2.0
+            Y = op.forward(x_k) + U
+            Z = svt(Y, 5.0)
+            U = Y - Z
+        assert np.array_equal(x_k, x.samples)
+        assert np.array_equal(state.Y, Y) and np.array_equal(state.Z, Z)
+        assert np.array_equal(state.U, U)
+        _, fixed = denoise(noisy, AdmmParams(lam=5.0, max_iter=state.iterations, tol=0.0), CFG)
+        for name in ("Y", "Z", "U"):
+            assert np.array_equal(getattr(state, name), getattr(fixed, name))
 
 
 class TestLambdaSweep:

@@ -141,6 +141,16 @@ class TestSvt:
         with pytest.raises(ValueError):
             svt(np.eye(2), -0.5)
 
+    @pytest.mark.parametrize("t, kept", [(0.5, 3), (1.5, 2), (2.5, 1), (3.5, 0)])
+    def test_kept_rank_counts_values_above_threshold(self, t, kept):
+        rng = np.random.default_rng(11)
+        q1, _ = np.linalg.qr(rng.standard_normal((7, 3)))
+        q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        m = (q1 * [3.0, 2.0, 1.0]) @ q2.T
+        z, count = lowrank._svt_kept(m, t)
+        assert count == kept
+        assert np.array_equal(z, svt(m, t))
+
     def test_prox_objective_optimality(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
