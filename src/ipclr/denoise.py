@@ -248,29 +248,30 @@ def _iterates(d: SignalBuffer, op: RealAnalysis, params: AdmmParams) -> Iterator
 
     Iteration k runs the x-update x_k = (d + rho A^T (Z_{k-1} - U_{k-1})) / (1 + rho),
     Y_k = A x_k + U_{k-1}, Z_k = svt(Y_k, lam / rho) and U_k = Y_k - Z_k.
-    The adjoint A^T (Z_k - U_k) of iteration k+1 is taken before iterate k
-    is yielded, and because A^T A = I it also gives
-    A^T U_k = (x_k + A^T U_{k-1} - A^T (Z_k - U_k)) / 2 without a transform
-    of its own: a caller stopping at iterate k has paid for exactly that
-    one transform more than the k iterations.
+    Because A^T A = I, x_1 = (d + rho A^T A d) / (1 + rho) is d itself and
+    A x_1 is Z_0, so neither is transformed again.  The adjoint
+    A^T (Z_k - U_k) of iteration k+1 is taken before iterate k is yielded,
+    and it also gives A^T U_k = (x_k + A^T U_{k-1} - A^T (Z_k - U_k)) / 2
+    without a transform of its own.  A caller stopping at iterate k has
+    paid for k forward transforms (A d among them) and k adjoints.
     """
     n = len(d)
     threshold = params.lam / params.rho
-    Z = op.forward(d.samples)
-    U = np.zeros_like(Z)
-    back = op.adjoint(Z - U, n)
+    x = d.samples.copy()
+    ax = op.forward(x)
+    U = np.zeros_like(ax)
     at_u = np.zeros(n)
     while True:
-        x = (d.samples + params.rho * back) / (1.0 + params.rho)
-        if not np.all(np.isfinite(x)):
-            raise NumericalError("ADMM iterate diverged to non-finite values")
-        ax = op.forward(x)
         Y = ax + U
         Z, kept = _svt_kept(Y, threshold)
         U = Y - Z
         back = op.adjoint(Z - U, n)
         at_u = 0.5 * (x + at_u - back)
         yield _Iterate(x, ax, Y, Z, U, kept, at_u)
+        x = (d.samples + params.rho * back) / (1.0 + params.rho)
+        if not np.all(np.isfinite(x)):
+            raise NumericalError("ADMM iterate diverged to non-finite values")
+        ax = op.forward(x)
 
 
 def _operator(d: SignalBuffer, config: StftConfig, if_map: IfMap | None) -> RealAnalysis:

@@ -453,12 +453,14 @@ class TestCertifiedStop:
         assert state.certified and state.iterations < 40
         assert all(a.size < L * T for a in ndarrays(state))
 
-        # The textbook scaled-dual loop, run for as many iterations.
+        # The textbook scaled-dual loop, run for as many iterations; its
+        # first x-update (d + A^T A d) / 2 is d, as A^T A = I.
         op = RealAnalysis(CFG, build_corrector(estimate_if_for(noisy, CFG)))
-        Z = op.forward(noisy.samples)
-        U = np.zeros_like(Z)
-        for _ in range(state.iterations):
-            x_k = (noisy.samples + op.adjoint(Z - U, len(noisy))) / 2.0
+        x_k = noisy.samples
+        U = np.zeros_like(op.forward(x_k))
+        for k in range(state.iterations):
+            if k:
+                x_k = (noisy.samples + op.adjoint(Z - U, len(noisy))) / 2.0
             Y = op.forward(x_k) + U
             Z = svt(Y, 5.0)
             U = Y - Z
