@@ -3,12 +3,15 @@
 WAV support covers RIFF/WAVE containers with PCM 16/24-bit and IEEE
 float32 encodings, mono only (multi-channel input is downmixed by channel
 average).  Matrix export is CSV with a declared header, complex entries as
-adjacent real/imaginary columns.
+adjacent real/imaginary columns.  The CSV text is formatted on every CPU
+the process may use, in forked workers, and is byte-identical whatever the
+CPU count.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from pathlib import Path
 
@@ -139,12 +142,98 @@ def write_wav(x: SignalBuffer, path: str | Path, format: str = "pcm16") -> None:
         fh.write(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _format_rows(rows: np.ndarray) -> str:
+    """CSV text of float64 rows, one newline-terminated line per row.
+
+    Rows become Python floats one at a time, so the floats alive at once
+    fit in memory pages already in use.
+    """
+    return "".join([",".join(map(repr, row.tolist())) + "\n" for row in rows])
+
+
+class _Worker:
+    """A forked child that formats a block of rows and sends the text over a pipe.
+
+    The child only turns floats into text, writes it and leaves through
+    ``os._exit``: it takes no lock that another thread of the caller (a
+    BLAS thread, say) may hold at the fork, and runs none of the caller's
+    exit handlers or buffer flushes.
+    """
+
+    def __init__(self, rows: np.ndarray, first: int):
+        self.label = f"rows {first}-{first + len(rows) - 1}"
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            os.close(read_fd)
+            _worker_main(rows, write_fd)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+
+    def text(self, path: str | Path) -> str:
+        """The block's CSV text; a failed worker raises OSError naming ``path``."""
+        data = self.pipe.read()
+        code = self._reap()
+        if code == 1:
+            raise OSError(f"{path}: CSV worker for {self.label} failed: {data.decode()}")
+        if code:
+            raise OSError(f"{path}: CSV worker for {self.label} exited with status {code}")
+        return data.decode()
+
+    def close(self) -> None:
+        """Kill the child unless it has been reaped, then reap it."""
+        if self.pid:
+            import signal  # only on this path, so importing the CLI loads nothing new
+
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+        self.pipe.close()
+
+    def _reap(self) -> int:
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        return os.waitstatus_to_exitcode(status)
+
+
+def _worker_main(rows: np.ndarray, write_fd: int):
+    """Body of a forked worker: exit 0 after sending the text, 1 after an error message."""
+    code = 2
+    try:
+        try:
+            data, failed = _format_rows(rows).encode(), False
+        except Exception as exc:
+            data, failed = f"{type(exc).__name__}: {exc}".encode(), True
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = int(failed)
+    finally:
+        os._exit(code)
+
+
 def write_matrix_csv(m: np.ndarray, path: str | Path) -> None:
     """Write a real or complex matrix as CSV, row-major.
 
     The first line declares "# rows,cols,kind"; complex entries occupy two
-    adjacent columns (real part, imaginary part).  Output is deterministic
-    byte-for-byte for identical inputs.
+    adjacent columns (real part, imaginary part), each float written as its
+    ``repr``.  The rows are split into contiguous blocks, one per CPU the
+    process may use: the caller formats and writes the first block while
+    forked workers format the others, and their text is appended in row
+    order, so the output is byte-identical whatever the CPU count (one
+    block where there is no ``fork``).  Every worker is reaped before this
+    returns or raises; a worker that fails raises OSError naming ``path``.
     """
     m = np.asarray(m)
     if m.ndim != 2:
@@ -157,9 +246,21 @@ def write_matrix_csv(m: np.ndarray, path: str | Path) -> None:
         values = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
     else:
         values = np.asarray(m, dtype=np.float64)
-    lines = [f"# {m.shape[0]},{m.shape[1]},{kind}"]
-    lines += [",".join(map(repr, row)) for row in values.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = values.shape[0]
+    blocks = max(1, min(rows, _usable_cpus() if hasattr(os, "fork") else 1))
+    bounds = [rows * b // blocks for b in range(blocks + 1)]
+    workers = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            workers.append(_Worker(values[start:stop], start))
+        with open(path, "w") as fh:
+            fh.write(f"# {m.shape[0]},{m.shape[1]},{kind}\n")
+            fh.write(_format_rows(values[: bounds[1]]))
+            for worker in workers:
+                fh.write(worker.text(path))
+    finally:
+        for worker in workers:
+            worker.close()
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:

@@ -1,8 +1,15 @@
+import functools
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ipclr.cli
+import ipclr.io
 from ipclr.cli import main
 from ipclr.denoise import estimate_if_for
 from ipclr.experiments import REPRESENTATIONS
@@ -124,6 +131,43 @@ class TestSpectrogram:
 
     def test_missing_input(self, workdir):
         assert main(["spectrogram", "absent.wav"]) == 1
+
+    def test_csv_worker_failure_exits_1(self, workdir, monkeypatch, capsys):
+        synth_pair(workdir)
+        caller = os.getpid()
+
+        def format_rows(rows):
+            if os.getpid() != caller:
+                raise ValueError("formatter broke")
+            return "never written\n"
+
+        monkeypatch.setattr(ipclr.io, "_format_rows", format_rows)
+        monkeypatch.setattr(ipclr.io, "_usable_cpus", lambda: 2)
+        assert main(["spectrogram", "clean.wav", "--window-len", "512", "-o", "spec"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "clean_amplitude.csv: CSV worker for rows 128-256 failed" in err
+
+    def test_same_bytes_under_a_traced_writer(self, workdir, monkeypatch):
+        """A functools.wraps wrapper on the CLI's writer, as a tracing launcher installs."""
+        synth_pair(workdir)
+        monkeypatch.setattr(ipclr.io, "_usable_cpus", lambda: 3)
+        args = ["spectrogram", "noisy.wav", "--window-len", "512", "--ipc", "-o"]
+        assert main(args + ["plain"]) == 0
+        calls = []
+        write = ipclr.cli.write_matrix_csv
+
+        @functools.wraps(write)
+        def traced(*a, **kw):
+            calls.append(a[1])
+            return write(*a, **kw)
+
+        monkeypatch.setattr(ipclr.cli, "write_matrix_csv", traced)
+        assert main(args + ["traced"]) == 0
+        assert len(calls) == 4
+        for path in calls:
+            plain = workdir / "plain" / Path(path).name
+            assert Path(path).read_bytes() == plain.read_bytes()
 
 
 class TestLowrank:
@@ -383,3 +427,15 @@ class TestExitCodes:
 
     def test_success_is_zero(self, workdir):
         assert main(["synth", "--duration", "0.1", "-o", "ok.wav"]) == 0
+
+
+def test_cli_import_loads_no_process_pool():
+    """Forked CSV workers need no pool module, so importing the CLI stays lean."""
+    code = ("import sys, ipclr.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
+    src = str(Path(ipclr.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"

@@ -1,9 +1,11 @@
 import logging
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from ipclr import io as ipclr_io
 from ipclr.io import read_matrix_csv, read_wav, write_matrix_csv, write_wav
 from ipclr.signals import SignalBuffer
 
@@ -180,6 +182,43 @@ def _csv_cases():
 CSV_CASES = _csv_cases()
 
 
+def _block_cases():
+    """Real and complex matrices whose row counts are below, at and far above the CPU counts."""
+    rng = np.random.default_rng(22)
+    cases = {}
+    for rows in (1, 2, 3, 2049):
+        real = rng.standard_normal((rows, 3))
+        cases[f"real-{rows}"] = real
+        cases[f"complex-{rows}"] = real + 1j * rng.standard_normal((rows, 3))
+    return cases
+
+
+BLOCK_CASES = {**CSV_CASES, **_block_cases()}
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """Pids of the processes forked during the test, in fork order."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    """No pid is a live or unreaped child of this process."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 class TestMatrixCsv:
     def test_identity_three_lines(self, tmp_path):
         p = tmp_path / "i.csv"
@@ -227,6 +266,77 @@ class TestMatrixCsv:
         p = tmp_path / "m.csv"
         write_matrix_csv(m, p)
         assert p.read_text() == elementwise_csv(m)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_bytes_identical_across_block_counts(self, tmp_path, monkeypatch, forks,
+                                                 name, cpus):
+        m = BLOCK_CASES[name]
+        monkeypatch.setattr(ipclr_io, "_usable_cpus", lambda: cpus)
+        p = tmp_path / "m.csv"
+        write_matrix_csv(m, p)
+        assert p.read_text() == elementwise_csv(m)
+        # One block per CPU, but never an empty one; the caller formats the first.
+        assert len(forks) == min(cpus, m.shape[0]) - 1
+        assert_reaped(forks)
+
+    def test_empty_matrix_is_header_only(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(ipclr_io, "_usable_cpus", lambda: 3)
+        p = tmp_path / "e.csv"
+        write_matrix_csv(np.zeros((0, 4)), p)
+        assert p.read_text() == "# 0,4,real\n" == elementwise_csv(np.zeros((0, 4)))
+        assert forks == []
+
+    def test_checks_run_before_any_fork(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(ipclr_io, "_usable_cpus", lambda: 3)
+        m = np.ones((9, 2))
+        m[8, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            write_matrix_csv(m, tmp_path / "bad.csv")
+        with pytest.raises(ValueError, match="2-D"):
+            write_matrix_csv(np.ones((3, 3, 3)), tmp_path / "bad.csv")
+        assert forks == []
+
+    def test_worker_failure_names_path_and_reaps(self, tmp_path, monkeypatch, forks):
+        caller = os.getpid()
+        real_format = ipclr_io._format_rows
+
+        def format_rows(rows):
+            if os.getpid() != caller:
+                raise ValueError("formatter broke")
+            return real_format(rows)
+
+        monkeypatch.setattr(ipclr_io, "_format_rows", format_rows)
+        monkeypatch.setattr(ipclr_io, "_usable_cpus", lambda: 3)
+        p = tmp_path / "w.csv"
+        with pytest.raises(OSError, match=r"w\.csv: CSV worker for rows 3-5 failed: "
+                                          r"ValueError: formatter broke"):
+            write_matrix_csv(np.ones((9, 2)), p)
+        assert len(forks) == 2
+        assert_reaped(forks)
+
+    def test_caller_block_failure_reaps_workers(self, tmp_path, monkeypatch, forks):
+        caller = os.getpid()
+        real_format = ipclr_io._format_rows
+
+        def format_rows(rows):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            return real_format(rows)
+
+        monkeypatch.setattr(ipclr_io, "_format_rows", format_rows)
+        monkeypatch.setattr(ipclr_io, "_usable_cpus", lambda: 3)
+        with pytest.raises(KeyboardInterrupt):
+            write_matrix_csv(np.ones((9, 2)), tmp_path / "k.csv")
+        assert len(forks) == 2
+        assert_reaped(forks)
+
+    def test_unwritable_path_reaps_workers(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(ipclr_io, "_usable_cpus", lambda: 2)
+        with pytest.raises(OSError):
+            write_matrix_csv(np.ones((4, 2)), tmp_path / "missing" / "m.csv")
+        assert len(forks) == 1
+        assert_reaped(forks)
 
     @pytest.mark.parametrize("text", [
         "# 2,2\n1.0,2.0\n3.0,4.0\n",                # header without a kind
