@@ -28,7 +28,7 @@ from .frames import (
     istft,
     stft,
 )
-from .ifreq import IfMap, estimate_if
+from .ifreq import IfMap, estimate_if, estimate_if_from
 from .ipc import build_corrector, ipc_istft, ipc_stft
 from .lowrank import SvdFactors, nuclear_norm, rank_k_approx, svd, svt
 from .signals import (
@@ -62,6 +62,7 @@ __all__ = [
     "derivative_window",
     "estimate_if",
     "estimate_if_for",
+    "estimate_if_from",
     "frame_count",
     "frame_signal",
     "hann_window",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -23,9 +22,9 @@ import numpy as np
 from . import experiments
 from .denoise import (AdmmParams, NumericalError, RealAnalysis, denoise, estimate_if_for,
                       lambda_sweep)
-from .frames import StftConfig, analysis_window, derivative_window, hann_window, stft
+from .frames import StftConfig, analysis_window, hann_window, stft
 from .frames import istft  # wrapped by perfbench
-from .ifreq import estimate_if
+from .ifreq import estimate_if_from
 from .io import read_wav, write_matrix_csv, write_wav
 from .ipc import build_corrector, ipc_istft, ipc_stft  # ipc_istft: wrapped by perfbench
 from .lowrank import rank_k_approx
@@ -168,9 +167,7 @@ def cmd_spectrogram(input_wav, window_len, shift_div, framing, ipc, one_sided, o
     write_matrix_csv(spec.data, out / f"{stem}_complex.csv")
     written = 2
     if ipc:
-        spec_wp = stft(signal, config, derivative_window(config.window_len), framing,
-                       one_sided)
-        if_map = estimate_if(spec, spec_wp)
+        if_map = estimate_if_from(signal, spec)
         corrected = ipc_stft(spec, build_corrector(if_map)).data
         write_matrix_csv(corrected, out / f"{stem}_ipc.csv")
         write_matrix_csv(if_map.values, out / f"{stem}_if.csv")
@@ -204,14 +201,14 @@ def cmd_lowrank(input_wav, k, representation, window_len, shift_div, clean,
     clean = _read_companion(clean, observed, "--clean") if clean else observed
     config = experiments.analysis_config(window_len, shift_div)
 
-    x_clean = experiments.valid_spectrogram(clean, config)
-    x_obs = experiments.valid_spectrogram(observed, config)
-    if k > min(x_obs.shape):
-        raise click.UsageError(f"k exceeds the spectrogram rank bound {min(x_obs.shape)}")
-    if_signal = clean if if_source == "clean" else observed
-    e = experiments.ipc_corrector(if_signal, config) if representation == "ipc" else None
-    m, back = experiments.represent(x_obs, representation, e)
-    value = snr_db(x_clean, back(rank_k_approx(m, k)))
+    s_clean = experiments.valid_spectrogram(clean, config)
+    s_obs = s_clean if clean is observed else experiments.valid_spectrogram(observed, config)
+    if k > min(s_obs.data.shape):
+        raise click.UsageError(f"k exceeds the spectrogram rank bound {min(s_obs.data.shape)}")
+    if_signal, s_if = (clean, s_clean) if if_source == "clean" else (observed, s_obs)
+    e = build_corrector(estimate_if_from(if_signal, s_if)) if representation == "ipc" else None
+    m, back = experiments.represent(s_obs.data, representation, e)
+    value = snr_db(s_clean.data, back(rank_k_approx(m, k)))
     click.echo(f"representation={representation} shift=1/{shift_div} "
                f"k={k} spectrogram SNR = {_format_db(value)} dB")
 
@@ -386,14 +383,13 @@ def cmd_denoise_sweep(input_wav, clean_wav, lam_min, lam_max, lam_count, rho, it
     params = AdmmParams(lam=grid[0], rho=rho, max_iter=iters)
     if_map = estimate_if_for(oracle, config)
     rows = lambda_sweep(observed, clean, grid, params, config, if_map=if_map)
-    _write_csv(output, "lam,snr_db,objective", rows)
+    _write_csv(output, "lam,snr_db,objective", [(r.lam, r.snr_db, r.objective) for r in rows])
     best = max(rows, key=lambda r: r.snr_db)
     click.echo(f"input SNR {_format_db(snr_db(clean, observed))} dB; "
                f"best lam={best.lam:.6g} -> {_format_db(best.snr_db)} dB")
     click.echo(f"wrote {output}")
     if best_wav:
-        result, _ = denoise(observed, replace(params, lam=best.lam), config, if_map=if_map)
-        write_wav(result, best_wav, format="float32")
+        write_wav(best.x, best_wav, format="float32")
         click.echo(f"wrote {best_wav}")
 
 

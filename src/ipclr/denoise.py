@@ -31,13 +31,12 @@ from .frames import (
     Spectrogram,
     StftConfig,
     analysis_window,
-    derivative_window,
     frame_count,
     hann_window,
     istft,
     stft,
 )
-from .ifreq import IfMap, estimate_if
+from .ifreq import IfMap, estimate_if, estimate_if_from  # estimate_if: wrapped by perfbench
 from .ipc import build_corrector
 from .lowrank import _svt_kept, nuclear_norm, svt  # svt: wrapped by perfbench
 from .signals import SignalBuffer, snr_db
@@ -133,11 +132,12 @@ class AdmmState:
 
 
 class LambdaSweepRow(NamedTuple):
-    """One row of a regularization sweep."""
+    """One row of a regularization sweep; ``x`` is the output ``denoise`` returned."""
 
     lam: float
     snr_db: float
     objective: float
+    x: SignalBuffer
 
 
 class RealAnalysis:
@@ -202,10 +202,8 @@ def estimate_if_for(signal: SignalBuffer, config: StftConfig) -> IfMap:
     window its E lifts the top singular value's energy share of A x from
     0.30 (E = 1) to 0.976, which a test pins at 0.95 or more.
     """
-    L = config.window_len
-    s_w = stft(signal, config, hann_window(L), one_sided=True)
-    s_wp = stft(signal, config, derivative_window(L), one_sided=True)
-    return estimate_if(s_w, s_wp)
+    s_w = stft(signal, config, hann_window(config.window_len), one_sided=True)
+    return estimate_if_from(signal, s_w)
 
 
 def ipclr_objective(
@@ -384,6 +382,6 @@ def lambda_sweep(
     for lam in sorted(grid):
         x, state = denoise(d, replace(params, lam=lam), config, if_map=if_map)
         rows.append(
-            LambdaSweepRow(lam, snr_db(clean, x), state.objective_history[-1])
+            LambdaSweepRow(lam, snr_db(clean, x), state.objective_history[-1], x)
         )
     return rows

@@ -25,7 +25,9 @@ Cells are pure functions of their parameters.  ``run_table1`` shares the
 work they have in common: per hop it builds the clean spectrogram and the
 clean-signal corrector once, and per (hop, level, seed) one observation
 that all three representations truncate; only a corrector estimated from
-a noisy waveform is built per observation.  Table 1's cells are rank 1 and
+a noisy waveform is built per observation.  Every IF map comes from
+``ifreq.estimate_if_from``, fed the Hann spectrogram already taken for the
+cells, so no spectrogram is taken twice.  Table 1's cells are rank 1 and
 take the top singular pair from the Gram matrix (``rank_one_approx``);
 Fig. 3's rank-k curves factor each observation with the LAPACK ``svd``.
 Both use the threads of the BLAS library.
@@ -38,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import StftConfig, derivative_window, hann_window, stft
-from .ifreq import IfMap, estimate_if
+from .frames import Spectrogram, StftConfig, hann_window, stft
+from .ifreq import IfMap, estimate_if, estimate_if_from  # estimate_if: wrapped by perfbench
 from .ipc import build_corrector
 from .lowrank import rank_one_approx, svd
 from .signals import (
@@ -112,9 +114,7 @@ def analysis_config(window_len: int, shift_divisor: int,
 
 def estimate_if_valid(signal: SignalBuffer, config: StftConfig) -> IfMap:
     """One-sided IF map of a real signal under the Hann/derivative pair in valid framing."""
-    s_w = stft(signal, config, hann_window(config.window_len), "valid", one_sided=True)
-    s_wp = stft(signal, config, derivative_window(config.window_len), "valid", one_sided=True)
-    return estimate_if(s_w, s_wp)
+    return estimate_if_from(signal, valid_spectrogram(signal, config))
 
 
 @dataclass(frozen=True)
@@ -129,35 +129,31 @@ class RankCell:
     snr_db: float
 
 
-def valid_spectrogram(signal: SignalBuffer, config: StftConfig) -> np.ndarray:
-    """One-sided Hann spectrogram of ``signal`` in valid framing."""
-    return stft(signal, config, hann_window(config.window_len), "valid", one_sided=True).data
+def valid_spectrogram(signal: SignalBuffer, config: StftConfig) -> Spectrogram:
+    """One-sided Hann spectrogram of ``signal`` in valid framing (C-contiguous data)."""
+    return stft(signal, config, hann_window(config.window_len), "valid", one_sided=True)
 
 
 def observe(
     clean: SignalBuffer,
-    x_clean: np.ndarray,
-    config: StftConfig,
+    s_clean: Spectrogram,
     input_snr_db: float | None,
     seed: int,
     noise_domain: str,
-) -> tuple[np.ndarray, SignalBuffer]:
-    """Return ``(x_obs, observed_signal)`` for the clean spectrogram ``x_clean``.
+) -> tuple[np.ndarray, SignalBuffer, Spectrogram]:
+    """Return ``(x_obs, observed, s_observed)`` for ``clean`` and its ``valid_spectrogram``.
 
+    ``s_observed`` is the Hann spectrogram of the ``observed`` waveform.
     ``input_snr_db=None`` observes the clean signal.  Bin-wise (``"tf"``) noise
     has no waveform, so the observed signal is then ``clean`` itself.
     """
     if input_snr_db is None:
-        return x_clean, clean
+        return s_clean.data, clean, s_clean
     if noise_domain == "time":
         noisy = add_noise_at_snr(clean, input_snr_db, seed)
-        return valid_spectrogram(noisy, config), noisy
-    return add_complex_noise_at_snr(x_clean, input_snr_db, seed), clean
-
-
-def ipc_corrector(if_signal: SignalBuffer, config: StftConfig) -> np.ndarray:
-    """The one-sided phase corrector ``E`` from ``estimate_if_valid``."""
-    return build_corrector(estimate_if_valid(if_signal, config))
+        s_noisy = valid_spectrogram(noisy, s_clean.config)
+        return s_noisy.data, noisy, s_noisy
+    return add_complex_noise_at_snr(s_clean.data, input_snr_db, seed), clean, s_clean
 
 
 def unit_phase(x: np.ndarray, mag: np.ndarray) -> np.ndarray:
@@ -217,11 +213,11 @@ def rank_cell_snr(
             f"Table 1 cells are rank-1, got k={k}; run_fig3 is the rank-k path"
         )
     _check_noise(noise_domain, if_source)
-    x_clean = valid_spectrogram(clean, config)
-    x_obs, observed = observe(clean, x_clean, config, input_snr_db, seed, noise_domain)
-    if_signal = clean if if_source == "clean" else observed
-    e = ipc_corrector(if_signal, config) if representation == "ipc" else None
-    return _rank_one_snr(x_clean, x_obs, representation, e)
+    s_clean = valid_spectrogram(clean, config)
+    x_obs, observed, s_obs = observe(clean, s_clean, input_snr_db, seed, noise_domain)
+    if_signal, s_if = (clean, s_clean) if if_source == "clean" else (observed, s_obs)
+    e = build_corrector(estimate_if_from(if_signal, s_if)) if representation == "ipc" else None
+    return _rank_one_snr(s_clean.data, x_obs, representation, e)
 
 
 def run_table1(spec: ExperimentSpec) -> list[RankCell]:
@@ -237,15 +233,16 @@ def run_table1(spec: ExperimentSpec) -> list[RankCell]:
     noisy = [(level, seed) for level in spec.input_snrs_db for seed in spec.seeds]
     cells: dict[str, list[RankCell]] = {r: [] for r in REPRESENTATIONS}
     for div in spec.shift_divisors:
-        config = analysis_config(spec.window_len, div)
-        x_clean = valid_spectrogram(clean, config)
-        e_clean = ipc_corrector(clean, config)
+        s_clean = valid_spectrogram(clean, analysis_config(spec.window_len, div))
+        e_clean = build_corrector(estimate_if_from(clean, s_clean))
         for level, seed in noisy + [(None, -1)]:
-            x_obs, observed = observe(clean, x_clean, config, level, seed, spec.noise_domain)
-            if_signal = clean if spec.if_source == "clean" else observed
-            e = e_clean if if_signal is clean else ipc_corrector(if_signal, config)
+            x_obs, observed, s_obs = observe(clean, s_clean, level, seed, spec.noise_domain)
+            if spec.if_source == "clean" or observed is clean:
+                e = e_clean
+            else:  # a corrector from the noisy waveform
+                e = build_corrector(estimate_if_from(observed, s_obs))
             for representation in REPRESENTATIONS:
-                value = _rank_one_snr(x_clean, x_obs, representation, e)
+                value = _rank_one_snr(s_clean.data, x_obs, representation, e)
                 cells[representation].append(
                     RankCell(representation, div, level, 1, seed, value)
                 )
@@ -287,9 +284,10 @@ def run_fig3(spec: ExperimentSpec, input_snr_db: float | None) -> list[RankCell]
     div = spec.shift_divisors[0]
     config = analysis_config(spec.window_len, div)
     seed = spec.seeds[0] if spec.seeds else 0
-    x_clean = valid_spectrogram(clean, config)
-    x_obs, observed = observe(clean, x_clean, config, input_snr_db, seed, spec.noise_domain)
-    e = ipc_corrector(clean if spec.if_source == "clean" else observed, config)
+    s_clean = valid_spectrogram(clean, config)
+    x_obs, observed, s_obs = observe(clean, s_clean, input_snr_db, seed, spec.noise_domain)
+    if_signal, s_if = (clean, s_clean) if spec.if_source == "clean" else (observed, s_obs)
+    e = build_corrector(estimate_if_from(if_signal, s_if))
     cell_seed = seed if input_snr_db is not None else -1
 
     cells = []
@@ -297,6 +295,6 @@ def run_fig3(spec: ExperimentSpec, input_snr_db: float | None) -> list[RankCell]
         m, back = represent(x_obs, representation, e)
         factors = svd(m)
         for k in spec.k_values:
-            value = snr_db(x_clean, back(factors.reconstruct(k)))
+            value = snr_db(s_clean.data, back(factors.reconstruct(k)))
             cells.append(RankCell(representation, div, input_snr_db, k, cell_seed, value))
     return cells

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Spectrogram, StftConfig
+from .frames import Spectrogram, StftConfig, derivative_window, stft
+from .signals import SignalBuffer
 
 DEFAULT_GUARD_EPS = 1e-6
 
@@ -57,3 +58,16 @@ def estimate_if(
         np.divide(spec_wprime.data, spec_w.data, out=ratio, where=mag >= guard_eps * peak)
     bins = np.arange(spec_w.n_bins, dtype=np.float64)[:, None]
     return IfMap(values=bins - ratio.imag, config=spec_w.config)
+
+
+def estimate_if_from(signal: SignalBuffer, s_w: Spectrogram) -> IfMap:
+    """IF map of a real ``signal`` from its Hann spectrogram ``s_w``.
+
+    The derivative-window spectrogram is taken with the config, framing and
+    sidedness of ``s_w``, so the map has the shape of ``s_w``.  This is the
+    only place that pairs the Hann window with its derivative.
+    """
+    L = s_w.config.window_len
+    s_wp = stft(signal, s_w.config, derivative_window(L), s_w.framing,
+                one_sided=s_w.n_bins != L)
+    return estimate_if(s_w, s_wp)

@@ -91,9 +91,13 @@ def read_wav(path: str | Path) -> SignalBuffer:
 
 
 def write_wav(x: SignalBuffer, path: str | Path, format: str = "pcm16") -> None:
-    """Write a mono WAV file; samples outside [-1, 1] are clamped.
+    """Write a mono WAV file.
 
-    The number of clamped samples is reported through the module logger.
+    ``float32`` stores every sample rounded to float32, with no clamping:
+    values outside [-1, 1] are written as they are.  ``pcm16`` and ``pcm24``
+    clamp to their integer range and report the number of samples outside
+    [-1, 1] through the module logger.
+
     The sample rate must be a whole number of Hz whose rate and byte rate
     fit the header's 32-bit fields; any other rate raises ValueError.
     """

@@ -1,4 +1,5 @@
 import functools
+import importlib
 import os
 import subprocess
 import sys
@@ -11,13 +12,16 @@ import pytest
 import ipclr.cli
 import ipclr.io
 from ipclr.cli import main
-from ipclr.denoise import estimate_if_for
-from ipclr.experiments import REPRESENTATIONS
+from ipclr.denoise import AdmmParams, estimate_if_for
+from ipclr.experiments import REPRESENTATIONS, analysis_config
 from ipclr.frames import StftConfig, analysis_window, istft, stft
-from ipclr.io import read_matrix_csv, read_wav
+from ipclr.io import read_matrix_csv, read_wav, write_wav
 from ipclr.ipc import build_corrector
 from ipclr.lowrank import rank_k_approx
 from ipclr.signals import snr_db
+
+# ipclr/__init__.py re-exports the function ``denoise`` under the module's name.
+denoise_module = importlib.import_module("ipclr.denoise")
 
 
 @pytest.fixture()
@@ -221,6 +225,14 @@ class TestLowrank:
                          "--representation", representation, "--clean", "clean.wav",
                          "-o", "rk.wav"]) == 0
 
+    def test_clean_reference_takes_three_transforms(self, workdir, rfft_calls):
+        synth_pair(workdir)
+        rfft_calls.clear()
+        assert main(["lowrank", "noisy.wav", "--window-len", "512",
+                     "--clean", "clean.wav"]) == 0
+        # Hann of the clean and noisy input, derivative window of the clean one.
+        assert len(rfft_calls) == len(set(rfft_calls)) == 3
+
     def test_k_too_large(self, workdir):
         synth_pair(workdir)
         assert main(["lowrank", "clean.wav", "--window-len", "512",
@@ -301,6 +313,30 @@ class TestDenoiseCommands:
         assert len(lines) == 4
         for line in lines[1:]:
             assert all(np.isfinite(float(field)) for field in line.split(","))
+
+    def test_best_wav_is_the_sweep_output(self, workdir, monkeypatch):
+        synth_pair(workdir)
+        solve = denoise_module.denoise
+        lams = []
+
+        def counting(d, params, config, if_map=None):
+            lams.append(params.lam)
+            return solve(d, params, config, if_map=if_map)
+
+        monkeypatch.setattr(denoise_module, "denoise", counting)
+        monkeypatch.setattr(ipclr.cli, "denoise", counting)
+        assert main(["denoise-sweep", "noisy.wav", "clean.wav", "--window-len", "512",
+                     "--lam-min", "0.01", "--lam-max", "1", "--lam-count", "3",
+                     "--iters", "5", "-o", "sw.csv", "--best-wav", "best.wav"]) == 0
+        assert len(lams) == 3
+        rows = [line.split(",") for line in (workdir / "sw.csv").read_text().splitlines()[1:]]
+        best_lam = float(max(rows, key=lambda row: float(row[1]))[0])
+        config = analysis_config(512, 4, "hann_tight")
+        noisy = read_wav("noisy.wav")
+        x, _ = solve(noisy, AdmmParams(lam=best_lam, max_iter=5), config,
+                     if_map=estimate_if_for(noisy, config))
+        write_wav(x, "separate.wav", format="float32")
+        assert (workdir / "best.wav").read_bytes() == (workdir / "separate.wav").read_bytes()
 
     def test_denoise_validates_before_filesystem(self, workdir):
         synth_pair(workdir)

@@ -7,8 +7,8 @@ from ipclr.experiments import (
     RankCell,
     analysis_config,
     default_signal,
+    estimate_if_valid,
     harmonic_specs,
-    ipc_corrector,
     observe,
     rank_cell_snr,
     represent,
@@ -124,7 +124,7 @@ class TestRepresent:
         if framing == "valid":
             cfg = analysis_config(FAST["window_len"], 4)
             x = stft(sig, cfg, hann_window(cfg.window_len), "valid", one_sided=True).data
-            e = ipc_corrector(sig, cfg)
+            e = build_corrector(estimate_if_valid(sig, cfg))
         else:
             # The two-sided pipeline of ``ipclr lowrank -o``.
             cfg = StftConfig(window_len=FAST["window_len"], hop=256, window_kind="hann_tight")
@@ -138,7 +138,7 @@ class TestRepresent:
 
 
     def test_valid_spectrogram_is_c_contiguous(self):
-        x = valid_spectrogram(fast_signal(), analysis_config(FAST["window_len"], 4))
+        x = valid_spectrogram(fast_signal(), analysis_config(FAST["window_len"], 4)).data
         assert x.flags.c_contiguous
 
     def test_amplitude_round_trips_exact_zero_bins(self):
@@ -155,12 +155,11 @@ class TestRepresent:
 
 def svd_reference_cell(clean, config, cell, noise_domain, if_source):
     """One Table 1 cell recomputed from scratch with the LAPACK SVD."""
-    x_clean = valid_spectrogram(clean, config)
-    x_obs, observed = observe(clean, x_clean, config, cell.input_snr_db, cell.seed,
-                              noise_domain)
-    e = ipc_corrector(clean if if_source == "clean" else observed, config)
+    s_clean = valid_spectrogram(clean, config)
+    x_obs, observed, _ = observe(clean, s_clean, cell.input_snr_db, cell.seed, noise_domain)
+    e = build_corrector(estimate_if_valid(clean if if_source == "clean" else observed, config))
     m, back = represent(x_obs, cell.representation, e)
-    return snr_db(x_clean, back(svd(m).reconstruct(1)))
+    return snr_db(s_clean.data, back(svd(m).reconstruct(1)))
 
 
 @pytest.mark.parametrize("noise_domain,if_source", [
@@ -191,6 +190,34 @@ class TestTable1SharedWork:
             config = analysis_config(512, c.shift_divisor)
             ref = svd_reference_cell(clean, config, c, noise_domain, if_source)
             assert abs(c.snr_db - ref) <= 1e-9, c
+
+
+class TestTransformCounts:
+    """Each Hann or derivative-window spectrogram is taken once (window 512, 0.5 s)."""
+
+    SPEC = dict(kind="table1", duration_s=0.5, window_len=512, seeds=(0, 1))
+
+    def test_table1_clean_if(self, rfft_calls):
+        run_table1(ExperimentSpec(**self.SPEC))
+        # Per hop: the clean signal's Hann and derivative-window spectrograms.
+        assert len(rfft_calls) == 3 * 2
+        assert len(set(rfft_calls)) == len(rfft_calls)
+
+    def test_table1_noisy_if(self, rfft_calls):
+        run_table1(ExperimentSpec(**self.SPEC, noise_domain="time", if_source="noisy"))
+        # Per hop: the clean pair, and a pair per noisy waveform (3 levels x 2 seeds).
+        assert len(rfft_calls) == 3 * (2 + 2 * 3 * 2) == 42
+        assert len(set(rfft_calls)) == len(rfft_calls)
+
+    def test_cell_and_fig3(self, rfft_calls):
+        config = analysis_config(512, 4)
+        rank_cell_snr(default_signal(3, 0.5), config, "ipc", k=1, input_snr_db=10.0,
+                      noise_domain="time", if_source="noisy")
+        assert len(rfft_calls) == 3  # clean Hann, noisy Hann, noisy derivative
+        rfft_calls.clear()
+        run_fig3(ExperimentSpec(kind="fig3", duration_s=0.5, window_len=512,
+                                shift_divisors=(4,), k_values=(1, 2)), 10.0)
+        assert len(rfft_calls) == 2
 
 
 class TestSweeps:

@@ -1,3 +1,4 @@
+import inspect
 import re
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from ipclr.frames import (
     stft,
 )
 import ipclr
+from ipclr.ifreq import estimate_if_from
 from ipclr.signals import SignalBuffer
 
 
@@ -381,3 +383,13 @@ def test_frames_is_the_only_module_calling_np_fft():
         if re.search(r"\bnp\.fft\b|\bnumpy\.fft\b|from numpy import fft", path.read_text())
     )
     assert modules == ["frames.py"]
+
+
+def test_estimate_if_from_is_the_only_caller_of_derivative_window():
+    """The Hann/derivative-window pair is built in one place."""
+    calls = {
+        path.name: path.read_text().count("derivative_window(")
+        for path in Path(ipclr.__file__).parent.glob("*.py") if path.name != "frames.py"
+    }
+    assert {name: n for name, n in calls.items() if n} == {"ifreq.py": 1}
+    assert "derivative_window(" in inspect.getsource(estimate_if_from)

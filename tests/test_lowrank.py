@@ -5,12 +5,13 @@ from ipclr.experiments import (
     REPRESENTATIONS,
     analysis_config,
     default_signal,
-    ipc_corrector,
+    estimate_if_valid,
     observe,
     represent,
     valid_spectrogram,
 )
 from ipclr.frames import StftConfig, hann_window, stft
+from ipclr.ipc import build_corrector
 from ipclr import lowrank
 from ipclr.lowrank import nuclear_norm, rank_k_approx, rank_one_approx, svd, svt
 from ipclr.signals import SignalBuffer
@@ -242,9 +243,9 @@ def table1_matrix(representation, div, noisy):
     """The matrix a Table 1 cell truncates, at window 512 and 0.5 s (n = 30..118)."""
     clean = default_signal(3, 0.5)
     config = analysis_config(512, div)
-    x_clean = valid_spectrogram(clean, config)
-    x_obs, _ = observe(clean, x_clean, config, 10.0 if noisy else None, 0, "tf")
-    return represent(x_obs, representation, ipc_corrector(clean, config))[0]
+    x_obs, _, _ = observe(clean, valid_spectrogram(clean, config), 10.0 if noisy else None, 0,
+                          "tf")
+    return represent(x_obs, representation, build_corrector(estimate_if_valid(clean, config)))[0]
 
 
 class TestRankOneApprox:
