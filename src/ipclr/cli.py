@@ -5,8 +5,9 @@ Option precedence is flags > config file > defaults; the config file is a
 flat ``key = value`` text format whose keys match the long option names
 with dashes replaced by underscores.  The group hands the file to click as
 every command's default map, so file values are converted and validated
-like flags; repeatable options (``--freq``, ``--amp``) come from flags only,
-and a config key naming one is a usage error.
+like flags.  A config key that names no option of any command is a usage
+error, and so is one naming a repeatable option (``--freq``, ``--amp``):
+those come from flags only.
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
 
@@ -92,9 +93,12 @@ def _format_db(value: float) -> str:
 def cli(ctx: click.Context, config: str | None):
     """Phase-corrected low-rank spectrogram tools."""
     conf = _load_config(config)
-    repeatable = sorted(conf.keys() & {
-        p.name for command in cli.commands.values() for p in command.params
-        if isinstance(p, click.Option) and p.multiple})
+    options = [p for command in cli.commands.values() for p in command.params
+               if isinstance(p, click.Option)]
+    unknown = sorted(conf.keys() - {p.name for p in options})
+    if unknown:
+        raise click.UsageError(f"{config}: key {unknown[0]!r} names no option of any command")
+    repeatable = sorted(conf.keys() & {p.name for p in options if p.multiple})
     if repeatable:
         raise click.UsageError(f"{config}: key {repeatable[0]!r} names a repeatable "
                                f"option; repeatable options come from flags only")
@@ -165,18 +169,16 @@ def cmd_spectrogram(input_wav, window_len, shift_div, framing, ipc, one_sided, o
     stem = Path(input_wav).stem
     write_matrix_csv(np.abs(spec.data), out / f"{stem}_amplitude.csv")
     write_matrix_csv(spec.data, out / f"{stem}_complex.csv")
-    written = 2
     if ipc:
         if_map = estimate_if_from(signal, spec)
         corrected = ipc_stft(spec, build_corrector(if_map)).data
         write_matrix_csv(corrected, out / f"{stem}_ipc.csv")
         write_matrix_csv(if_map.values, out / f"{stem}_if.csv")
-        written += 2
         deviation = np.abs(corrected - corrected[:, :1]).max()
         scale = np.abs(corrected).max()
         click.echo(f"max column deviation of phase-corrected rows: "
                    f"{deviation / scale if scale else 0.0:.3e} (relative)")
-    click.echo(f"wrote {written} matrices to {out}")
+    click.echo(f"wrote {4 if ipc else 2} matrices to {out}")
 
 
 @cli.command("lowrank")
@@ -272,7 +274,7 @@ def cmd_table1(seeds, duration, count, window_len, noise_domain, if_source, outd
                [(c.representation, c.shift_divisor,
                  "" if c.input_snr_db is None else f"{c.input_snr_db:g}",
                  c.k, c.seed, c.snr_db) for c in cells])
-    rows = experiments.table1_layout(cells, spec.shift_divisors, spec.input_snrs_db)
+    rows = experiments.table1_layout(cells)
     keys = [f"snr_in_{level:g}" for level in spec.input_snrs_db] + ["clean"]
     header = ",".join(["representation,shift"] + [k.removeprefix("snr_in_") for k in keys])
     lines = _write_csv(out / "table1.csv", header,

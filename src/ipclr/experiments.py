@@ -249,24 +249,23 @@ def run_table1(spec: ExperimentSpec) -> list[RankCell]:
     return [cell for representation in REPRESENTATIONS for cell in cells[representation]]
 
 
-def table1_layout(
-    cells: list[RankCell],
-    shift_divisors: tuple[int, ...] = SHIFT_DIVISORS,
-    input_snrs_db: tuple[float, ...] = INPUT_SNRS_DB,
-) -> list[dict]:
+def table1_layout(cells: list[RankCell]) -> list[dict]:
     """Seed-averaged rows in the representation x shift layout.
 
-    A level with no cells gets no key; the clean column is the first clean cell.
+    The hops and noise levels are those of ``cells``, in the order they
+    first appear.  A row gets no key for a level it has no cells at; the
+    clean column is the row's first clean cell.
     """
     groups: dict[tuple, list[float]] = {}
     for c in cells:
         key = (c.representation, c.shift_divisor, c.input_snr_db)
         groups.setdefault(key, []).append(c.snr_db)
+    levels = dict.fromkeys(c.input_snr_db for c in cells if c.input_snr_db is not None)
     rows = []
     for representation in REPRESENTATIONS:
-        for div in shift_divisors:
+        for div in dict.fromkeys(c.shift_divisor for c in cells):
             row = {"representation": representation, "shift": f"1/{div}"}
-            for level in input_snrs_db:
+            for level in levels:
                 if values := groups.get((representation, div, level)):
                     row[f"snr_in_{level:g}"] = float(np.mean(values))
             if clean := groups.get((representation, div, None)):
@@ -278,7 +277,9 @@ def table1_layout(
 def run_fig3(spec: ExperimentSpec, input_snr_db: float | None) -> list[RankCell]:
     """Rank-k SNR curves for every representation over the given k range.
 
-    The SVD of each observation is factored once; truncations reuse it.
+    Only the spec's first hop and first seed are used (seed 0 when it has
+    none).  The SVD of each observation is factored once; truncations reuse
+    it.
     """
     clean = default_signal(spec.sinusoid_count, spec.duration_s)
     div = spec.shift_divisors[0]

@@ -170,18 +170,20 @@ def _pad_left(config: StftConfig, framing: str) -> int:
 
 
 def frame_signal(x: np.ndarray, config: StftConfig, framing: str = "cover") -> np.ndarray:
-    """Arrange a signal into the L x T patch matrix used by the transform."""
+    """Arrange a signal into the L x T patch matrix used by the transform.
+
+    Both framings zero-pad the signal by ``_pad_left`` on the left and cut
+    or pad it on the right to the last sample of the last frame; valid
+    framing pads nothing on the left and only cuts.
+    """
     x = np.asarray(x)
     if x.ndim != 1 or x.shape[0] == 0:
         raise ValueError("signal must be a non-empty 1-D array")
     L, a = config.window_len, config.hop
-    n_frames = frame_count(x.shape[0], config, framing)
-    total = a * (n_frames - 1) + L
-    if framing == "valid":
-        return np.lib.stride_tricks.sliding_window_view(x[:total], L)[::a].T
+    total = a * (frame_count(x.shape[0], config, framing) - 1) + L
     left = _pad_left(config, framing)
     padded = np.zeros(total, dtype=np.promote_types(x.dtype, np.float64))
-    padded[left : left + x.shape[0]] = x
+    padded[left : left + x.shape[0]] = x[: total - left]
     return np.lib.stride_tricks.sliding_window_view(padded, L)[::a].T
 
 
@@ -195,10 +197,10 @@ def stft(
     """Forward STFT of a real or complex signal.
 
     ``w`` must have length ``config.window_len``.  Rows are DFT bins
-    0..K-1, columns are frames in time order.  With ``one_sided`` the
-    signal must be real and K = L/2+1: a real FFT runs along the
+    0..K-1, columns are frames in time order.  The FFT runs along the
     contiguous axis of the T x L windowed frames, and the result is
-    returned C-contiguous.
+    returned C-contiguous.  With ``one_sided`` the signal must be real, the
+    FFT is a real one and K = L/2+1.
     """
     if isinstance(x, SignalBuffer):
         samples, rate = x.samples, x.sample_rate_hz
@@ -207,18 +209,14 @@ def stft(
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (config.window_len,):
         raise ValueError("window length does not match config.window_len")
-    if framing not in FRAMINGS:
-        raise ValueError(f"unknown framing: {framing!r}")
     if one_sided and np.iscomplexobj(samples):
         raise ValueError(
             "one_sided needs a real signal: a complex signal's negative "
             "frequencies are not the conjugates of its positive ones"
         )
     patches = frame_signal(samples, config, framing)
-    if one_sided:
-        data = np.ascontiguousarray(np.fft.rfft(w * patches.T, axis=1).T)
-    else:
-        data = np.fft.fft(w[:, None] * patches, n=config.window_len, axis=0)
+    fft = np.fft.rfft if one_sided else np.fft.fft
+    data = np.ascontiguousarray(fft(w * patches.T, axis=1).T)
     return Spectrogram(
         data=data,
         config=config,

@@ -73,14 +73,11 @@ def read_wav(path: str | Path) -> SignalBuffer:
     if bits == 16:
         x = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
     elif bits == 24:
-        b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
-        ints = (
-            b[:, 0].astype(np.int32)
-            | (b[:, 1].astype(np.int32) << 8)
-            | (b[:, 2].astype(np.int32) << 16)
-        )
-        ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
-        x = ints.astype(np.float64) / 8388608.0
+        # Each sample's 3 bytes fill the top of a little-endian int32, and
+        # the arithmetic shift back down extends the sign.
+        padded = np.zeros((len(data) // 3, 4), dtype=np.uint8)
+        padded[:, 1:] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
+        x = (padded.view("<i4")[:, 0] >> 8).astype(np.float64) / 8388608.0
     else:
         x = np.frombuffer(data, dtype="<f4").astype(np.float64)
 
@@ -118,12 +115,9 @@ def write_wav(x: SignalBuffer, path: str | Path, format: str = "pcm16") -> None:
             payload = ints.astype("<i2").tobytes()
             bits, audio_format = 16, 1
         else:
-            u = (ints & 0xFFFFFF).astype(np.uint32)
-            b = np.empty((ints.shape[0], 3), dtype=np.uint8)
-            b[:, 0] = u & 0xFF
-            b[:, 1] = (u >> 8) & 0xFF
-            b[:, 2] = (u >> 16) & 0xFF
-            payload = b.tobytes()
+            # The left shift leaves the 3 sample bytes on top of a zero low byte.
+            shifted = (ints << 8).astype("<i4").view(np.uint8).reshape(-1, 4)
+            payload = shifted[:, 1:].tobytes()
             bits, audio_format = 24, 1
 
     block_align = bits // 8

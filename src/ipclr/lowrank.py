@@ -73,9 +73,8 @@ def svd(m: np.ndarray) -> SvdFactors:
 
 def rank_k_approx(m: np.ndarray, k: int) -> np.ndarray:
     """Best Frobenius-norm rank-k approximation via truncated SVD."""
-    m = _check_finite(m)
-    if not 1 <= k <= min(m.shape):
-        raise ValueError(f"k must lie in [1, {min(m.shape)}], got {k}")
+    if not 1 <= k <= min(np.shape(m)):
+        raise ValueError(f"k must lie in [1, {min(np.shape(m))}], got {k}")
     return svd(m).reconstruct(k)
 
 

@@ -52,7 +52,8 @@ def synth_sinusoid_sum(
     """Synthesize sum_h A_h * sin(2*pi*f_h*l/fs + phi_h).
 
     An empty spec list gives an all-zero buffer.  Frequencies must be
-    pairwise distinct and below Nyquist.
+    pairwise distinct and below Nyquist, and the duration must round to at
+    least one sample.
     """
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be positive and finite, got {duration_s}")
@@ -68,6 +69,9 @@ def synth_sinusoid_sum(
                 f"frequency {s.frequency_hz} Hz outside [0, Nyquist={nyquist} Hz)"
             )
     n = round(duration_s * sample_rate_hz)
+    if n == 0:
+        raise ValueError(f"duration_s={duration_s} s is shorter than one sample "
+                         f"at {sample_rate_hz:g} Hz")
     t = np.arange(n) / sample_rate_hz
     samples = np.zeros(n)
     for s in specs:

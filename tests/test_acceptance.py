@@ -169,7 +169,7 @@ def test_criterion_7_admm_contract(report, denoise_instance):
     )
     report(limit_dev <= 1e-6 and rel_residual <= 0.01 and objective_ok,
            f"7. ADMM contract: lam->0 deviation {limit_dev:.2e} (tol 1e-6); "
-           f"relative primal residual after 100 iters {rel_residual:.2e} "
+           f"relative primal residual after {state1.iterations} iters {rel_residual:.2e} "
            f"(tol 1e-2); final objective below observation objective: "
            f"{objective_ok}")
 

@@ -87,6 +87,9 @@ class TestSynth:
         (["--rate", "5e9", "--duration", "1e-9"], "sample rate 5e+09 Hz is not an integer"),
         (["--rate", "inf"], "sample_rate_hz must be positive and finite"),
         (["--duration", "inf"], "duration_s must be positive and finite"),
+        (["--duration", "0.00001"], "duration_s=1e-05 s is shorter than one sample"),
+        (["--duration", "0.00001", "--no-normalize"],
+         "duration_s=1e-05 s is shorter than one sample"),
     ])
     def test_bad_rate_or_duration_rejected(self, workdir, capsys, args, message):
         assert main(["synth", *args, "-o", "bad.wav"]) == 1
@@ -444,10 +447,20 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "key 'freq'" in err and "repeatable options come from flags only" in err
 
-    def test_arguments_not_read_from_config(self, workdir):
+    def test_key_of_no_command_rejected(self, workdir, capsys):
+        (workdir / "conf.txt").write_text("window_len = 1024\n")  # an option of other commands
+        assert main(["--config", "conf.txt", "synth", "--duration", "0.1", "-o", "k.wav"]) == 0
+        (workdir / "conf.txt").write_text("windw_len = 1024\n")
+        assert main(["--config", "conf.txt", "synth", "-o", "u.wav"]) == 1
+        assert not (workdir / "u.wav").exists()
+        err = capsys.readouterr().err
+        assert "conf.txt: key 'windw_len' names no option of any command" in err
+
+    def test_arguments_not_read_from_config(self, workdir, capsys):
         synth_pair(workdir)
         (workdir / "conf.txt").write_text("input_wav = clean.wav\n")
         assert main(["--config", "conf.txt", "spectrogram", "-o", "spec"]) == 1
+        assert "key 'input_wav' names no option of any command" in capsys.readouterr().err
 
 
 class TestExitCodes:

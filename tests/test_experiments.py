@@ -229,7 +229,7 @@ class TestSweeps:
         cells = run_table1(spec)
         # 3 representations x 3 shifts x (2 noisy seeds + 1 clean)
         assert len(cells) == 3 * 3 * 3
-        layout = table1_layout(cells, spec.shift_divisors, spec.input_snrs_db)
+        layout = table1_layout(cells)
         assert len(layout) == 9
         for row in layout:
             assert set(row) == {"representation", "shift", "snr_in_10", "clean"}
@@ -255,10 +255,17 @@ class TestSweeps:
                 row["clean"] = next(c.snr_db for c in cells if c.input_snr_db is None
                                     and (c.representation, c.shift_divisor) == (r, div))
                 expected.append(row)
-        layout = table1_layout(cells, divs, levels)
+        layout = table1_layout(cells)
         assert layout == expected
         assert [list(row) for row in layout] == [list(row) for row in expected]
         assert "snr_in_10" not in layout[1] and "snr_in_10" in layout[0]
+
+    def test_table1_layout_takes_hops_and_levels_from_cells(self):
+        cells = [RankCell(r, 4, level, 1, 0, 1.5) for r in REPRESENTATIONS for level in (5.0, None)]
+        assert table1_layout(cells) == [
+            {"representation": r, "shift": "1/4", "snr_in_5": 1.5, "clean": 1.5}
+            for r in REPRESENTATIONS
+        ]
 
     def test_fig3_rows_per_k_and_representation(self):
         spec = ExperimentSpec(

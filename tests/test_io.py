@@ -31,12 +31,12 @@ class TestReadWav:
         assert sig.sample_rate_hz == 8000.0
 
     def test_pcm24_values(self, tmp_path):
-        ints = [0, 1 << 22, -(1 << 22)]
+        ints = [0, 1 << 22, -(1 << 22), 1, -1, (1 << 23) - 1, -(1 << 23)]
         payload = b"".join(struct.pack("<i", v)[:3] for v in ints)
         p = tmp_path / "b.wav"
         p.write_bytes(build_wav_bytes(1, 1, 16000, 24, payload))
         sig = read_wav(p)
-        np.testing.assert_allclose(sig.samples, [0.0, 0.5, -0.5], atol=1e-15)
+        np.testing.assert_array_equal(sig.samples, np.array(ints) / 8388608.0)
 
     def test_stereo_downmix_average(self, tmp_path):
         payload = struct.pack("<4h", 16384, -16384, 8192, 8192)

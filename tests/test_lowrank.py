@@ -299,7 +299,7 @@ class TestRankOneApprox:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_like_svd(self, bad):
         m = np.array([[bad, 0.0], [0.0, 1.0]])
-        for fn in (rank_one_approx, svd):
+        for fn in (rank_one_approx, svd, lambda a: rank_k_approx(a, 1)):
             with pytest.raises(ValueError, match="NaN/Inf"):
                 fn(m)
 

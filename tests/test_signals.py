@@ -70,6 +70,11 @@ class TestSynth:
         with pytest.raises(ValueError):
             synth_sinusoid_sum([SinusoidSpec(1.0, 8000.0)], 1.0, 16000.0)
 
+    @pytest.mark.parametrize("duration", [1e-5, 1 / 32000])
+    def test_rejects_duration_below_one_sample(self, duration):
+        with pytest.raises(ValueError, match=f"duration_s={duration} s is shorter than one sample"):
+            synth_sinusoid_sum([SinusoidSpec(1.0, 100.0)], duration, 16000.0)
+
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError):
             synth_sinusoid_sum([], 0.0, 16000.0)
