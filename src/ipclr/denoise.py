@@ -28,13 +28,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .frames import (
-    Spectrogram,
     StftConfig,
     analysis_window,
     frame_count,
     hann_window,
-    istft,
+    irfft_synthesize,
+    istft,  # wrapped by perfbench
+    rfft_rows,
     stft,
+    windowed_frames,
 )
 from .ifreq import IfMap, estimate_if, estimate_if_from  # estimate_if: wrapped by perfbench
 from .ipc import build_corrector
@@ -158,6 +160,13 @@ class RealAnalysis:
     ``adjoint`` (A^T, and with the canonical tight window the inverse:
     A^T A = I) undoes the embedding, multiplies by conj(E) and runs the
     one-sided istft; each direction folds its sqrt2 into its stored corrector.
+
+    Both directions work in the FFT's own order, one frame per row: E is
+    stored transposed, the spectrum is T x (L/2+1) and the frames T x L.
+    The operator holds E and the window only.  A caller that applies it
+    repeatedly passes its own buffers (``out``, ``spec``), which are filled
+    and reused; a call without them allocates its own and keeps nothing
+    afterwards.
     """
 
     def __init__(self, config: StftConfig, E: np.ndarray):
@@ -166,30 +175,64 @@ class RealAnalysis:
         L = config.window_len
         self.half = L // 2 + 1
         self.pairs = slice(1, 1 + (L - 1) // 2)
-        unpaired = E[[0, L // 2] if L % 2 == 0 else [0]]
-        if np.abs(unpaired.imag).max() > 1e-9:
+        self.unpaired = [0, L // 2] if L % 2 == 0 else [0]
+        if np.abs(E[self.unpaired].imag).max() > 1e-9:
             raise ValueError(
                 "phase correction must be real in bins 0 and L/2, "
                 "as it is for the IF map of a real signal"
             )
         scale = np.ones((self.half, 1))
         scale[self.pairs] = np.sqrt(2.0)
-        self.e_forward = E * scale
-        # T x K, the layout ``adjoint`` fills, so the inverse real FFT runs
-        # along contiguous rows.
+        self.e_forward = np.ascontiguousarray((E * scale).T)
         self.e_adjoint = np.ascontiguousarray((np.conj(E) / scale).T)
 
-    def forward(self, samples: np.ndarray) -> np.ndarray:
-        spec = stft(samples, self.config, self.window, one_sided=True).data
-        spec *= self.e_forward
-        return np.concatenate([spec.real, spec.imag[self.pairs]])
+    def forward(
+        self,
+        samples: np.ndarray,
+        out: np.ndarray | None = None,
+        spec: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """A x as a real L x T matrix, written into ``out`` when given.
 
-    def adjoint(self, z: np.ndarray, origin_len: int) -> np.ndarray:
-        spec = np.zeros((z.shape[1], self.half), dtype=np.complex128)
-        spec.real = z[: self.half].T
-        spec.imag[:, self.pairs] = z[self.half :].T
+        The windowed frames go into ``out`` itself, viewed T x L, and are
+        transformed into ``spec``; the embedding then overwrites ``out``.
+        """
+        L = self.config.window_len
+        n_frames = frame_count(len(samples), self.config, "cover")
+        if out is None:
+            out = np.empty((L, n_frames))
+        frames = windowed_frames(samples, self.config, self.window,
+                                 out=out.reshape(n_frames, L))
+        spec = rfft_rows(frames, out=spec)
+        spec *= self.e_forward
+        out[: self.half] = spec.real.T
+        out[self.half :] = spec.imag[:, self.pairs].T
+        return out
+
+    def adjoint(
+        self,
+        z: np.ndarray,
+        origin_len: int,
+        minus: np.ndarray | None = None,
+        spec: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """A^T z, or A^T (z - minus) with the difference taken in ``spec``.
+
+        ``spec`` (T x (L/2+1)) is scratch, filled when given; the samples
+        come back in a new array.
+        """
+        if spec is None:
+            spec = np.empty((z.shape[1], self.half), dtype=np.complex128)
+        top, bottom = z[: self.half].T, z[self.half :].T
+        if minus is None:
+            spec.real = top
+            spec.imag[:, self.pairs] = bottom
+        else:
+            np.subtract(top, minus[: self.half].T, out=spec.real)
+            np.subtract(bottom, minus[self.half :].T, out=spec.imag[:, self.pairs])
+        spec.imag[:, self.unpaired] = 0.0
         spec *= self.e_adjoint
-        return istft(Spectrogram(spec.T, self.config, origin_len), self.window).samples
+        return irfft_synthesize(spec, self.config, self.window, origin_len)
 
 
 def estimate_if_for(signal: SignalBuffer, config: StftConfig) -> IfMap:
@@ -252,24 +295,32 @@ def _iterates(d: SignalBuffer, op: RealAnalysis, params: AdmmParams) -> Iterator
     and it also gives A^T U_k = (x_k + A^T U_{k-1} - A^T (Z_k - U_k)) / 2
     without a transform of its own.  A caller stopping at iterate k has
     paid for k forward transforms (A d among them) and k adjoints.
+
+    The generator owns the solve's workspace: ``ax``, ``Y`` and ``U`` are
+    updated in place, so every iterate it yields holds the same three
+    arrays, and both transforms go through one spectrum buffer.  An
+    iterate's matrices are valid until the next one is requested; the
+    workspace is freed with the generator.
     """
     n = len(d)
     threshold = params.lam / params.rho
     x = d.samples.copy()
     ax = op.forward(x)
+    spec = np.empty((ax.shape[1], op.half), dtype=np.complex128)
+    Y = np.empty_like(ax)
     U = np.zeros_like(ax)
     at_u = np.zeros(n)
     while True:
-        Y = ax + U
+        np.add(ax, U, out=Y)
         Z, kept = _svt_kept(Y, threshold)
-        U = Y - Z
-        back = op.adjoint(Z - U, n)
+        np.subtract(Y, Z, out=U)
+        back = op.adjoint(Z, n, minus=U, spec=spec)
         at_u = 0.5 * (x + at_u - back)
         yield _Iterate(x, ax, Y, Z, U, kept, at_u)
         x = (d.samples + params.rho * back) / (1.0 + params.rho)
         if not np.all(np.isfinite(x)):
             raise NumericalError("ADMM iterate diverged to non-finite values")
-        ax = op.forward(x)
+        op.forward(x, out=ax, spec=spec)
 
 
 def _operator(d: SignalBuffer, config: StftConfig, if_map: IfMap | None) -> RealAnalysis:
@@ -301,6 +352,9 @@ def denoise(
     iteration runs one forward and one adjoint transform and one
     thresholding step on the real L x T form of A x, plus one nuclear norm
     for the exact objective P(x) = 0.5 * ||x - d||^2 + lam * ||A x||_*.
+    The L x T matrices and transform buffers are allocated once per solve
+    and reused by every iteration (see ``_iterates``); none outlives the
+    call, and the returned state keeps none of them.
 
     The stop is certified.  ``svt`` clips every singular value of U_k at
     lam / rho, so W_k = rho U_k is dual-feasible and
@@ -337,7 +391,7 @@ def denoise(
                      and bound <= params.tol * float(np.linalg.norm(x)))
         if certified:
             break
-        del it  # so the next iterate's matrices can reuse this one's memory
+        del it  # so the next thresholding step's Z can reuse this one's memory
 
     out = SignalBuffer(x, d.sample_rate_hz)
     state = AdmmState(

@@ -7,7 +7,10 @@ The transform follows the windowed-DFT convention
 with window_len two-sided bins on the exact DFT grid (K = L rows,
 xi = 0..L-1) and an unnormalized DFT.  Rows 0..L/2 hold all of a real
 signal's transform: ``stft(..., one_sided=True)`` computes only those with
-a real FFT, and ``istft`` inverts either form.  Two framing rules exist:
+a real FFT, and ``istft`` inverts either form.  The FFTs run along the
+frames held one per row (T x L); ``windowed_frames``, ``rfft_rows`` and
+``irfft_synthesize`` are those steps in that order, and the first two fill
+buffers a caller passes in.  Two framing rules exist:
 
 ``cover``
     The signal is zero-padded by L - a samples on the left and enough on
@@ -214,11 +217,10 @@ def stft(
             "one_sided needs a real signal: a complex signal's negative "
             "frequencies are not the conjugates of its positive ones"
         )
-    patches = frame_signal(samples, config, framing)
-    fft = np.fft.rfft if one_sided else np.fft.fft
-    data = np.ascontiguousarray(fft(w * patches.T, axis=1).T)
+    frames = windowed_frames(samples, config, w, framing)
+    data = rfft_rows(frames) if one_sided else np.fft.fft(frames, axis=1)
     return Spectrogram(
-        data=data,
+        data=np.ascontiguousarray(data.T),
         config=config,
         origin_len=samples.shape[0],
         sample_rate_hz=rate,
@@ -238,18 +240,66 @@ def istft(spec: Spectrogram, w_synth: np.ndarray) -> SignalBuffer:
     """
     if spec.framing != "cover":
         raise ValueError("only cover-mode spectrograms are invertible")
-    L, a = spec.config.window_len, spec.config.hop
+    L = spec.config.window_len
     w_synth = np.asarray(w_synth, dtype=np.float64)
     if w_synth.shape != (L,):
         raise ValueError("synthesis window length does not match config.window_len")
     if spec.n_bins == L:
-        frames = (np.fft.ifft(spec.data, axis=0) * L).real
+        frames = (np.fft.ifft(spec.data.T, axis=1) * L).real
+        samples = _synthesize(frames, spec.config, w_synth, spec.origin_len)
     else:
-        frames = np.fft.irfft(spec.data, n=L, axis=0, norm="forward")
-    frames *= w_synth[:, None]
-    buf = overlap_add(frames, a)
-    left = _pad_left(spec.config, spec.framing)
-    return SignalBuffer(buf[left : left + spec.origin_len], spec.sample_rate_hz)
+        samples = irfft_synthesize(spec.data.T, spec.config, w_synth, spec.origin_len)
+    return SignalBuffer(samples, spec.sample_rate_hz)
+
+
+def windowed_frames(
+    x: np.ndarray,
+    config: StftConfig,
+    w: np.ndarray,
+    framing: str = "cover",
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The T x L windowed frames w[l] * x[l + a*tau] of :func:`frame_signal`, one per row.
+
+    This is the layout the FFTs run along.  ``out``, when given, is filled
+    and returned.
+    """
+    return np.multiply(w, frame_signal(x, config, framing).T, out=out)
+
+
+def rfft_rows(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real DFT of each row of the T x L real ``frames``: bins 0..L/2, T x (L/2+1).
+
+    ``out``, when given, is filled and returned.
+    """
+    return np.fft.rfft(frames, axis=1, out=out)
+
+
+def irfft_synthesize(
+    rows: np.ndarray,
+    config: StftConfig,
+    w_synth: np.ndarray,
+    origin_len: int,
+) -> np.ndarray:
+    """Cover-mode inverse of a one-sided spectrogram held as T x (L/2+1) rows.
+
+    Each row is read as half of a conjugate-symmetric DFT and inverted with
+    the real inverse DFT into T x L frames, which are windowed by
+    ``w_synth`` and overlap-added; the samples come back cropped to
+    ``origin_len``.
+    """
+    frames = np.fft.irfft(rows, n=config.window_len, axis=1, norm="forward")
+    return _synthesize(frames, config, w_synth, origin_len)
+
+
+def _synthesize(
+    frames: np.ndarray, config: StftConfig, w_synth: np.ndarray, origin_len: int
+) -> np.ndarray:
+    """Window the T x L frames in place, overlap-add them and crop to the signal."""
+    frames *= w_synth
+    buf = overlap_add(frames.T, config.hop)
+    left = _pad_left(config, "cover")
+    return buf[left : left + origin_len]
 
 
 def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:

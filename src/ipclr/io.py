@@ -31,8 +31,9 @@ def read_wav(path: str | Path) -> SignalBuffer:
 
     PCM samples are normalized to [-1, 1]; multi-channel data is averaged
     down to mono with a logged notice.  A chunk that runs past the end of
-    the file, or a data chunk that is not a whole number of sample frames,
-    raises ValueError.
+    the file, a data chunk that is not a whole number of sample frames, or
+    a float32 NaN/Inf raises ValueError naming the file; for NaN/Inf it
+    gives their count and the first sample frame holding one.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -80,6 +81,10 @@ def read_wav(path: str | Path) -> SignalBuffer:
         x = (padded.view("<i4")[:, 0] >> 8).astype(np.float64) / 8388608.0
     else:
         x = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        if not np.isfinite(x).all():
+            bad = np.flatnonzero(~np.isfinite(x))
+            raise ValueError(f"{path}: {bad.size} non-finite samples "
+                             f"(first at sample {bad[0] // channels})")
 
     if channels > 1:
         x = x.reshape(-1, channels).mean(axis=1)

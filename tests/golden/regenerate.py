@@ -15,11 +15,14 @@ regenerate them, after a change that moves an output on purpose, run
     PYTHONPATH=src python tests/golden/regenerate.py
 
 which prints what moved against the committed data before it overwrites
-it.
+it.  With ``--check`` it writes nothing: it prints the values that moved
+beyond tolerance and the files whose sha256 changed, appeared or vanished,
+and exits 1 when a value moved or a file appeared or vanished.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -158,19 +161,41 @@ def mismatches(got: dict, want) -> list[str]:
     return bad
 
 
-def main() -> int:
+def report(values: dict, hashes: dict) -> bool:
+    """Print what moved against the committed data.
+
+    Returns whether a value moved beyond tolerance or a file appeared or
+    vanished; a file whose bytes changed within tolerance is only printed.
+    """
+    with np.load(VALUES) as old:
+        moved = mismatches(values, old) + [
+            f"{key}: gone" for key in sorted(old.files) if key not in values]
+    old_hashes = json.loads(HASHES.read_text())
+    for line in moved:
+        print(f"moved beyond tolerance: {line}")
+    for name in sorted(hashes.keys() | old_hashes.keys()):
+        if name not in old_hashes:
+            print(f"file appeared: {name}")
+        elif name not in hashes:
+            print(f"file vanished: {name}")
+        elif old_hashes[name] != hashes[name]:
+            print(f"sha256 changed: {name}")
+    return bool(moved) or hashes.keys() != old_hashes.keys()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or check the golden outputs.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the committed data and write nothing")
+    check = parser.parse_args(argv).check
     with tempfile.TemporaryDirectory() as tmp:
         values, hashes = snapshot(Path(tmp))
+    if check:
+        failed = report(values, hashes)
+        print(f"{len(hashes)} files: {'FAILED' if failed else 'ok'} against the golden data")
+        return int(failed)
     if VALUES.exists():
-        with np.load(VALUES) as old:
-            moved = mismatches(values, old) + [
-                f"{key}: gone" for key in sorted(old.files) if key not in values]
-        old_hashes = json.loads(HASHES.read_text())
-        for line in moved:
-            print(f"moved beyond tolerance: {line}")
-        for name in sorted(hashes):
-            if old_hashes.get(name) != hashes[name]:
-                print(f"sha256 changed: {name}")
+        report(values, hashes)
     np.savez_compressed(VALUES, **values)
     HASHES.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(hashes)} files' values to {VALUES.name} and hashes to {HASHES.name}")

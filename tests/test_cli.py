@@ -405,6 +405,30 @@ def test_companion_wav_must_match_input(workdir, capsys, site, bad, synth_args):
     assert not any((workdir / name).exists() for name in outputs)
 
 
+def write_non_finite_wav(workdir, name, like):
+    """A float32 copy of the WAV ``like`` with NaN at sample 100 and Inf at 3000."""
+    write_wav(read_wav(workdir / like), workdir / name, format="float32")
+    raw = bytearray((workdir / name).read_bytes())
+    start = raw.index(b"data") + 8
+    for i, value in ((100, np.nan), (3000, np.inf)):
+        raw[start + 4 * i : start + 4 * i + 4] = np.float32(value).tobytes()
+    (workdir / name).write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("args", [
+    ["lowrank", "bad.wav", "-o", "out.wav"],
+    ["lowrank", "noisy.wav", "--clean", "bad.wav", "-o", "out.wav"],
+])
+def test_non_finite_wav_named_in_error(workdir, capsys, args):
+    synth_pair(workdir)
+    write_non_finite_wav(workdir, "bad.wav", like="clean.wav")
+    capsys.readouterr()
+    assert main(args + ["--window-len", "512"]) == 1
+    err = capsys.readouterr().err
+    assert "bad.wav: 2 non-finite samples (first at sample 100)" in err
+    assert not (workdir / "out.wav").exists()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, workdir):
         (workdir / "conf.txt").write_text("duration = 0.25\nseed = 9\n")

@@ -18,6 +18,7 @@ from ipclr.denoise import (
 )
 from ipclr.experiments import default_signal
 from ipclr.frames import (
+    Spectrogram,
     StftConfig,
     analysis_window,
     derivative_window,
@@ -216,6 +217,65 @@ class TestRealOperator:
         got = op.adjoint(rank_k_approx(op.forward(x), k), len(x))
         ref = two_sided_rank_k(x, cfg, e, k)
         assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(x)
+
+    @staticmethod
+    def public_route(op, cfg, x, z):
+        """A x and A^T z through ``stft``/``istft`` and the operator's stored E."""
+        pairs = slice(1, 1 + (cfg.window_len - 1) // 2)
+        spec = stft(x, cfg, op.window, one_sided=True).data * op.e_forward.T
+        ax = np.concatenate([spec.real, spec.imag[pairs]])
+        spec = np.zeros((op.half, z.shape[1]), dtype=complex)
+        spec.real = z[: op.half]
+        spec.imag[pairs] = z[op.half :]
+        back = istft(Spectrogram(spec * op.e_adjoint.T, cfg, len(x)), op.window)
+        return ax, back.samples
+
+    @staticmethod
+    def buffers(op, shape):
+        """NaN-filled ``out`` and ``spec``: an entry left unwritten shows."""
+        return np.full(shape, np.nan), np.full((shape[1], op.half), np.nan + 1j * np.nan)
+
+    def check_buffered_bit_identity(self, cfg, op, x, Z, U):
+        n = len(x)
+        ax, back = op.forward(x), op.adjoint(Z - U, n)
+        ref_ax, ref_back = self.public_route(op, cfg, x, Z - U)
+        assert np.array_equal(ax, ref_ax) and np.array_equal(back, ref_back)
+        out, spec = self.buffers(op, ax.shape)
+        assert op.forward(x, out=out, spec=spec) is out
+        assert np.array_equal(out, ax)
+        _, spec = self.buffers(op, ax.shape)
+        assert np.array_equal(op.adjoint(Z, n, minus=U, spec=spec), back)
+        # A second pass through the same, now dirty, buffers gives the same bits.
+        assert np.array_equal(op.forward(x, out=out, spec=spec), ax)
+        assert np.array_equal(op.adjoint(Z, n, minus=U, spec=spec), back)
+
+    @PROPERTY
+    @given(real_operator_case())
+    def test_buffered_directions_are_bit_identical(self, case):
+        cfg, op, x, rng = case
+        shape = op.forward(x).shape
+        Z, U = rng.standard_normal(shape), rng.standard_normal(shape)
+        self.check_buffered_bit_identity(cfg, op, x, Z, U)
+
+    @PROPERTY
+    @given(rank_k_case())
+    def test_buffered_directions_are_bit_identical_odd_and_even(self, case):
+        # Odd L has no unpaired top bin: its row K-1 carries an imaginary part.
+        cfg, x, e, k = case
+        op = RealAnalysis(cfg, e)
+        ax = op.forward(x)
+        Z = rank_k_approx(ax, k)
+        self.check_buffered_bit_identity(cfg, op, x, Z, ax - Z)
+
+    def test_one_shot_calls_keep_no_workspace(self, noisy_pair):
+        # lowrank -o and ipclr_objective apply the operator once; the
+        # operator must not keep the L x T buffers of such a call alive.
+        _, noisy = noisy_pair
+        op = RealAnalysis(CFG, build_corrector(estimate_if_for(noisy, CFG)))
+        ax = op.forward(noisy.samples)
+        op.adjoint(ax, len(noisy))
+        L, T = ax.shape
+        assert all(a.size < L * T for a in ndarrays(op))
 
 
 class TestDenoise:
@@ -418,6 +478,16 @@ class TestCertifiedStop:
         for it in itertools.islice(iterates, 12):
             direct = op.adjoint(it.U, len(noisy))
             assert np.linalg.norm(it.at_u - direct) <= 1e-12 * np.linalg.norm(direct)
+
+    def test_iterates_reuse_their_matrices(self, instance):
+        noisy, if_map = instance
+        op = DENOISE_MODULE._operator(noisy, self.CFG512, if_map)
+        iterates = DENOISE_MODULE._iterates(noisy, op, AdmmParams(lam=3.0))
+        first = next(iterates)
+        views = {name: getattr(first, name) for name in ("ax", "Y", "U")}
+        for it in itertools.islice(iterates, 3):
+            for name, view in views.items():
+                assert np.shares_memory(getattr(it, name), view)
 
     def test_zero_tol_runs_max_iter(self, instance):
         # At lam -> 0 every bound from x_2 on is about 0; tol=0 must still run on.

@@ -45,6 +45,16 @@ class TestReadWav:
         sig = read_wav(p)
         np.testing.assert_allclose(sig.samples, [0.0, 0.25], atol=1e-15)
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_non_finite_float_rejected(self, tmp_path, channels):
+        values = [0.5, 0.25, np.nan, -0.5, np.inf, -np.inf, 0.0, 1.0]
+        p = tmp_path / "nan.wav"
+        p.write_bytes(build_wav_bytes(3, channels, 8000, 32, struct.pack("<8f", *values)))
+        first = 2 // channels
+        with pytest.raises(ValueError) as err:
+            read_wav(p)
+        assert str(err.value) == f"{p}: 3 non-finite samples (first at sample {first})"
+
     def test_empty_data_chunk_rejected(self, tmp_path):
         p = tmp_path / "d.wav"
         p.write_bytes(build_wav_bytes(1, 1, 8000, 16, b""))
