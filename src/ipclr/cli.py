@@ -112,13 +112,13 @@ def cli(ctx: click.Context, config: str | None):
 
 @cli.command("synth")
 @click.option("--count", default=3, show_default=True,
-              help="Number of harmonics in the default recipe.")
+              help="Number of harmonics in the default recipe (1 to 11).")
 @click.option("--base-freq", default=100.0, show_default=True,
               help="Fundamental frequency in Hz for the default recipe.")
 @click.option("--freq", multiple=True, type=float,
               help="Explicit frequency in Hz (repeatable; overrides the recipe).")
 @click.option("--amp", multiple=True, type=float,
-              help="Amplitude per explicit frequency (repeatable).")
+              help="Amplitude per explicit frequency (repeatable; needs --freq).")
 @click.option("--duration", default=1.0, show_default=True, help="Duration in seconds.")
 @click.option("--rate", default=16000.0, show_default=True, help="Sample rate in Hz.")
 @click.option("--snr", default=math.inf, help="Add seeded noise at this SNR in dB.")
@@ -136,6 +136,10 @@ def cmd_synth(count, base_freq, freq, amp, duration, rate, snr, seed, normalize,
             raise click.UsageError("--amp count must match --freq count")
         amplitudes = amp or [1.0] * len(freq)
         specs = [SinusoidSpec(a, f) for a, f in zip(amplitudes, freq)]
+    elif amp:
+        raise click.UsageError("--amp needs --freq: the recipe sets its own amplitudes")
+    elif not 1 <= count <= 11:  # the recipe's amplitudes are 10 - h, h = 0..count-1
+        raise click.UsageError(f"--count must lie in 1..11, got {count}")
     else:
         specs = experiments.harmonic_specs(count, base_freq)
     signal = synth_sinusoid_sum(specs, duration, rate)
@@ -183,7 +187,8 @@ def cmd_spectrogram(input_wav, window_len, shift_div, framing, ipc, one_sided, o
 
 @cli.command("lowrank")
 @click.argument("input_wav", type=INPUT_FILE)
-@click.option("--k", default=1, show_default=True, help="Approximation rank.")
+@click.option("--k", default=1, show_default=True, type=click.IntRange(min=1),
+              help="Approximation rank.")
 @click.option("--representation", default="ipc", show_default=True,
               type=click.Choice(list(experiments.REPRESENTATIONS)))
 @click.option("--window-len", default=4096, show_default=True)
@@ -197,20 +202,11 @@ def cmd_spectrogram(input_wav, window_len, shift_div, framing, ipc, one_sided, o
 def cmd_lowrank(input_wav, k, representation, window_len, shift_div, clean,
                 if_source, output):
     """Rank-k approximation SNR of one spectrogram representation."""
-    if k < 1:
-        raise click.UsageError("k must be at least 1")
     observed = read_wav(input_wav)
     clean = _read_companion(clean, observed, "--clean") if clean else observed
+    if_signal = clean if if_source == "clean" else observed
     config = experiments.analysis_config(window_len, shift_div)
-
-    s_clean = experiments.valid_spectrogram(clean, config)
-    s_obs = s_clean if clean is observed else experiments.valid_spectrogram(observed, config)
-    if k > min(s_obs.data.shape):
-        raise click.UsageError(f"k exceeds the spectrogram rank bound {min(s_obs.data.shape)}")
-    if_signal, s_if = (clean, s_clean) if if_source == "clean" else (observed, s_obs)
-    e = build_corrector(estimate_if_from(if_signal, s_if)) if representation == "ipc" else None
-    m, back = experiments.represent(s_obs.data, representation, e)
-    value = snr_db(s_clean.data, back(rank_k_approx(m, k)))
+    value = _rank_k_snr(observed, clean, if_signal, config, representation, k)
     click.echo(f"representation={representation} shift=1/{shift_div} "
                f"k={k} spectrogram SNR = {_format_db(value)} dB")
 
@@ -220,6 +216,23 @@ def cmd_lowrank(input_wav, k, representation, window_len, shift_div, clean,
         write_wav(recon, output, format="float32")
         click.echo(f"time-domain SNR vs clean = "
                    f"{_format_db(snr_db(clean, recon))} dB; wrote {output}")
+
+
+def _rank_k_snr(observed: SignalBuffer, clean: SignalBuffer, if_signal: SignalBuffer,
+                config: StftConfig, representation: str, k: int) -> float:
+    """SNR of the rank-k ``representation`` of ``observed`` against ``clean``, in valid framing.
+
+    A function of its own, so that its spectrograms are freed before
+    ``lowrank -o`` builds the operator's matrices.
+    """
+    s_clean = experiments.valid_spectrogram(clean, config)
+    s_obs = s_clean if clean is observed else experiments.valid_spectrogram(observed, config)
+    if k > min(s_obs.data.shape):
+        raise click.UsageError(f"k exceeds the spectrogram rank bound {min(s_obs.data.shape)}")
+    s_if = s_clean if if_signal is clean else s_obs
+    e = build_corrector(estimate_if_from(if_signal, s_if)) if representation == "ipc" else None
+    m, back = experiments.represent(s_obs.data, representation, e)
+    return snr_db(s_clean.data, back(rank_k_approx(m, k)))
 
 
 def _reconstruct_rank_k(observed: SignalBuffer, if_signal: SignalBuffer,
@@ -245,7 +258,8 @@ def _reconstruct_rank_k(observed: SignalBuffer, if_signal: SignalBuffer,
 
 
 @cli.command("table1")
-@click.option("--seeds", default=10, show_default=True, help="Noise realizations per cell.")
+@click.option("--seeds", default=10, show_default=True, type=click.IntRange(min=1),
+              help="Noise realizations per cell.")
 @click.option("--duration", default=experiments.TABLE_DURATION_S, show_default=True)
 @click.option("--count", default=3, show_default=True, help="Number of sinusoids.")
 @click.option("--window-len", default=4096, show_default=True)
@@ -256,8 +270,6 @@ def _reconstruct_rank_k(observed: SignalBuffer, if_signal: SignalBuffer,
 @click.option("-o", "--outdir", default="table1_out", show_default=True)
 def cmd_table1(seeds, duration, count, window_len, noise_domain, if_source, outdir):
     """Rank-1 SNR table: representations x hops x input noise levels."""
-    if seeds < 1:
-        raise click.UsageError("seeds must be at least 1")
     spec = experiments.ExperimentSpec(
         kind="table1",
         sinusoid_count=count,
@@ -286,8 +298,8 @@ def cmd_table1(seeds, duration, count, window_len, noise_domain, if_source, outd
 
 @cli.command("fig3")
 @click.option("--count", default=3, show_default=True, help="Number of sinusoids H.")
-@click.option("--noise/--no-noise", default=False, show_default=True)
-@click.option("--input-snr", default=10.0, show_default=True)
+@click.option("--input-snr", type=float, default=None,
+              help="Add seeded bin-wise noise at this SNR in dB; noise-free when absent.")
 @click.option("--k-max", default=8, show_default=True)
 @click.option("--k-min", default=1, show_default=True)
 @click.option("--duration", default=experiments.TABLE_DURATION_S, show_default=True)
@@ -295,7 +307,7 @@ def cmd_table1(seeds, duration, count, window_len, noise_domain, if_source, outd
 @click.option("--shift-div", default=4, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("-o", "--output", default="fig3.csv", show_default=True)
-def cmd_fig3(count, noise, input_snr, k_max, k_min, duration, window_len,
+def cmd_fig3(count, input_snr, k_max, k_min, duration, window_len,
              shift_div, seed, output):
     """Rank-k SNR curves per representation (CSV of representation,k,snr)."""
     if not 1 <= k_min <= k_max:
@@ -309,7 +321,7 @@ def cmd_fig3(count, noise, input_snr, k_max, k_min, duration, window_len,
         seeds=(seed,),
         k_values=tuple(range(k_min, k_max + 1)),
     )
-    cells = experiments.run_fig3(spec, input_snr if noise else None)
+    cells = experiments.run_fig3(spec, input_snr)
     _write_csv(output, "representation,k,snr_db",
                [(c.representation, c.k, c.snr_db) for c in cells])
     click.echo(f"wrote {output} ({len(cells)} rows)")

@@ -9,7 +9,8 @@ correction E.  The problem is split as min 0.5||x - d||^2 + lam||Z||_*
 subject to Z = A x and solved with scaled-dual ADMM.  For a real signal
 A x is conjugate-symmetric, so the solver works on its real one-sided
 form: the one-sided stft times the one-sided E, mapped isometrically onto
-a real L x T matrix with the same singular values (see ``RealAnalysis``).
+a real T x L matrix, one frame per row, with the same singular values (see
+``RealAnalysis``).
 Because the tight frame satisfies A^T A = I (and E is unimodular), the
 x-update has the closed form x = (d + rho * A^T (Z - U)) / (1 + rho),
 which is real by construction.
@@ -88,7 +89,7 @@ class AdmmState:
 
     The last iteration's thresholding input ``Y = A x + U_prev``, split
     variable ``Z = svt(Y, lam / rho)`` and scaled dual ``U = Y - Z`` are
-    real L x T matrices in the one-sided coordinates of ``RealAnalysis``;
+    real T x L matrices in the one-sided coordinates of ``RealAnalysis``;
     their norms and singular values equal those of the two-sided complex
     matrices.  The state keeps none of them: the first access to any of
     the three reruns the deterministic solve for ``iterations`` iterations
@@ -149,20 +150,23 @@ class RealAnalysis:
     is real in rows 0 and L/2: the corrector of a real signal's IF map, 1,
     or the conjugate of a real signal's phase.  For a real signal x,
     E * stft(x) is then the top of a conjugate-symmetric two-sided matrix
-    (row K-j is the conjugate of row j).  ``forward`` takes the one-sided
-    stft, multiplies it by E and returns the real L x T matrix
+    (bin K-j is the conjugate of bin j).  ``forward`` takes the one-sided
+    stft, multiplies it by E and returns the real T x L matrix whose row
+    tau is
 
-        [row 0; sqrt2 * Re rows 1..h; row L/2; sqrt2 * Im rows 1..h]
+        [bin 0; sqrt2 * Re bins 1..h; bin L/2; sqrt2 * Im bins 1..h]
 
-    with h = (L-1)//2 (row L/2 only for even L).  The map is an isometry
-    from the conjugate-symmetric subspace onto R^(L x T), so norms, singular
-    values and rank-k truncations are those of the two-sided matrix.
-    ``adjoint`` (A^T, and with the canonical tight window the inverse:
-    A^T A = I) undoes the embedding, multiplies by conj(E) and runs the
-    one-sided istft; each direction folds its sqrt2 into its stored corrector.
+    of frame tau, with h = (L-1)//2 (bin L/2 only for even L).  The map is
+    an isometry from the conjugate-symmetric subspace onto R^(T x L), so
+    norms, singular values and rank-k truncations are those of the
+    two-sided matrix (transposed).  ``adjoint`` (A^T, and with the
+    canonical tight window the inverse: A^T A = I) undoes the embedding,
+    multiplies by conj(E) and runs the one-sided istft; each direction
+    folds its sqrt2 into its stored corrector.
 
-    Both directions work in the FFT's own order, one frame per row: E is
-    stored transposed, the spectrum is T x (L/2+1) and the frames T x L.
+    Frames, spectra and the embedding are all held one frame per row, the
+    FFT's own order: E is transposed once, here, to T x (L/2+1), and the
+    real part and the paired imaginary parts fill contiguous column blocks.
     The operator holds E and the window only.  A caller that applies it
     repeatedly passes its own buffers (``out``, ``spec``), which are filled
     and reused; a call without them allocates its own and keeps nothing
@@ -192,21 +196,16 @@ class RealAnalysis:
         out: np.ndarray | None = None,
         spec: np.ndarray | None = None,
     ) -> np.ndarray:
-        """A x as a real L x T matrix, written into ``out`` when given.
+        """A x as a real T x L matrix, written into ``out`` when given.
 
-        The windowed frames go into ``out`` itself, viewed T x L, and are
-        transformed into ``spec``; the embedding then overwrites ``out``.
+        The windowed frames go into ``out`` and are transformed into
+        ``spec``; the embedding then overwrites them.
         """
-        L = self.config.window_len
-        n_frames = frame_count(len(samples), self.config, "cover")
-        if out is None:
-            out = np.empty((L, n_frames))
-        frames = windowed_frames(samples, self.config, self.window,
-                                 out=out.reshape(n_frames, L))
-        spec = rfft_rows(frames, out=spec)
+        out = windowed_frames(samples, self.config, self.window, out=out)
+        spec = rfft_rows(out, out=spec)
         spec *= self.e_forward
-        out[: self.half] = spec.real.T
-        out[self.half :] = spec.imag[:, self.pairs].T
+        out[:, : self.half] = spec.real
+        out[:, self.half :] = spec.imag[:, self.pairs]
         return out
 
     def adjoint(
@@ -222,14 +221,11 @@ class RealAnalysis:
         come back in a new array.
         """
         if spec is None:
-            spec = np.empty((z.shape[1], self.half), dtype=np.complex128)
-        top, bottom = z[: self.half].T, z[self.half :].T
-        if minus is None:
-            spec.real = top
-            spec.imag[:, self.pairs] = bottom
-        else:
-            np.subtract(top, minus[: self.half].T, out=spec.real)
-            np.subtract(bottom, minus[self.half :].T, out=spec.imag[:, self.pairs])
+            spec = np.empty((z.shape[0], self.half), dtype=np.complex128)
+        h = self.half
+        minus_re, minus_im = (0.0, 0.0) if minus is None else (minus[:, :h], minus[:, h:])
+        np.subtract(z[:, :h], minus_re, out=spec.real)
+        np.subtract(z[:, h:], minus_im, out=spec.imag[:, self.pairs])
         spec.imag[:, self.unpaired] = 0.0
         spec *= self.e_adjoint
         return irfft_synthesize(spec, self.config, self.window, origin_len)
@@ -306,7 +302,7 @@ def _iterates(d: SignalBuffer, op: RealAnalysis, params: AdmmParams) -> Iterator
     threshold = params.lam / params.rho
     x = d.samples.copy()
     ax = op.forward(x)
-    spec = np.empty((ax.shape[1], op.half), dtype=np.complex128)
+    spec = np.empty((ax.shape[0], op.half), dtype=np.complex128)
     Y = np.empty_like(ax)
     U = np.zeros_like(ax)
     at_u = np.zeros(n)
@@ -350,9 +346,9 @@ def denoise(
     given (oracle mode) and otherwise from the noisy observation itself,
     and stays fixed for the whole solve so the prior is convex.  Each
     iteration runs one forward and one adjoint transform and one
-    thresholding step on the real L x T form of A x, plus one nuclear norm
+    thresholding step on the real T x L form of A x, plus one nuclear norm
     for the exact objective P(x) = 0.5 * ||x - d||^2 + lam * ||A x||_*.
-    The L x T matrices and transform buffers are allocated once per solve
+    The T x L matrices and transform buffers are allocated once per solve
     and reused by every iteration (see ``_iterates``); none outlives the
     call, and the returned state keeps none of them.
 

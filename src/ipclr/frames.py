@@ -7,10 +7,12 @@ The transform follows the windowed-DFT convention
 with window_len two-sided bins on the exact DFT grid (K = L rows,
 xi = 0..L-1) and an unnormalized DFT.  Rows 0..L/2 hold all of a real
 signal's transform: ``stft(..., one_sided=True)`` computes only those with
-a real FFT, and ``istft`` inverts either form.  The FFTs run along the
-frames held one per row (T x L); ``windowed_frames``, ``rfft_rows`` and
-``irfft_synthesize`` are those steps in that order, and the first two fill
-buffers a caller passes in.  Two framing rules exist:
+a real FFT, and ``istft`` inverts either form.  Frames are held one per row
+(T x L) from ``frame_signal`` to ``overlap_add``, and the FFTs run along
+them; ``windowed_frames``, ``rfft_rows`` and ``irfft_synthesize`` are those
+steps in that order, and the first two fill buffers a caller passes in.
+Only ``Spectrogram`` holds the K x T matrix of the formula, bins as rows.
+Two framing rules exist:
 
 ``cover``
     The signal is zero-padded by L - a samples on the left and enough on
@@ -22,7 +24,7 @@ buffers a caller passes in.  Two framing rules exist:
 ``valid``
     Frames start at sample 0 and only complete frames that lie entirely
     inside the signal are kept (frame count floor((n - L)/a) + 1).  Every
-    column is then a pure windowed patch of the signal, which preserves
+    frame is then a pure windowed patch of the signal, which preserves
     the algebraic rank structure of sinusoid spectrograms; this mode is
     not invertible and is meant for analysis experiments.
 """
@@ -173,7 +175,10 @@ def _pad_left(config: StftConfig, framing: str) -> int:
 
 
 def frame_signal(x: np.ndarray, config: StftConfig, framing: str = "cover") -> np.ndarray:
-    """Arrange a signal into the L x T patch matrix used by the transform.
+    """Arrange a signal into the T x L frame matrix, frame tau in row tau.
+
+    Row tau holds x[a*tau + l - p] for l = 0..L-1, with p = ``_pad_left``,
+    as a read-only strided view of one padded copy of the signal.
 
     Both framings zero-pad the signal by ``_pad_left`` on the left and cut
     or pad it on the right to the last sample of the last frame; valid
@@ -187,7 +192,7 @@ def frame_signal(x: np.ndarray, config: StftConfig, framing: str = "cover") -> n
     left = _pad_left(config, framing)
     padded = np.zeros(total, dtype=np.promote_types(x.dtype, np.float64))
     padded[left : left + x.shape[0]] = x[: total - left]
-    return np.lib.stride_tricks.sliding_window_view(padded, L)[::a].T
+    return np.lib.stride_tricks.sliding_window_view(padded, L)[::a]
 
 
 def stft(
@@ -201,9 +206,9 @@ def stft(
 
     ``w`` must have length ``config.window_len``.  Rows are DFT bins
     0..K-1, columns are frames in time order.  The FFT runs along the
-    contiguous axis of the T x L windowed frames, and the result is
-    returned C-contiguous.  With ``one_sided`` the signal must be real, the
-    FFT is a real one and K = L/2+1.
+    rows of the T x L windowed frames, and its T x K result is transposed
+    once into the C-contiguous K x T matrix.  With ``one_sided`` the
+    signal must be real, the FFT is a real one and K = L/2+1.
     """
     if isinstance(x, SignalBuffer):
         samples, rate = x.samples, x.sample_rate_hz
@@ -261,10 +266,9 @@ def windowed_frames(
 ) -> np.ndarray:
     """The T x L windowed frames w[l] * x[l + a*tau] of :func:`frame_signal`, one per row.
 
-    This is the layout the FFTs run along.  ``out``, when given, is filled
-    and returned.
+    ``out``, when given, is filled and returned.
     """
-    return np.multiply(w, frame_signal(x, config, framing).T, out=out)
+    return np.multiply(w, frame_signal(x, config, framing), out=out)
 
 
 def rfft_rows(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -297,22 +301,22 @@ def _synthesize(
 ) -> np.ndarray:
     """Window the T x L frames in place, overlap-add them and crop to the signal."""
     frames *= w_synth
-    buf = overlap_add(frames.T, config.hop)
+    buf = overlap_add(frames, config.hop)
     left = _pad_left(config, "cover")
     return buf[left : left + origin_len]
 
 
 def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum the L x T columns at offsets hop*tau into one hop*(T-1)+L buffer.
+    """Sum the T x L rows at offsets hop*tau into one hop*(T-1)+L buffer.
 
     This is the adjoint of :func:`frame_signal` before cropping.  hop must
-    divide L; the work is L/hop whole-block additions, taken from the last
-    block row to the first so that every sample accumulates its frames in
-    time order.
+    divide L; the work is L/hop whole-block additions, one per column block
+    of hop samples, taken from the last block to the first so that every
+    sample accumulates its frames in time order.
     """
-    L, n_frames = frames.shape
+    n_frames, L = frames.shape
     blocks = L // hop
     buf = np.zeros((n_frames - 1 + blocks, hop), dtype=frames.dtype)
     for r in reversed(range(blocks)):
-        buf[r : r + n_frames] += frames[r * hop : (r + 1) * hop].T
+        buf[r : r + n_frames] += frames[:, r * hop : (r + 1) * hop]
     return buf.reshape(-1)

@@ -3,17 +3,18 @@
 ``svd`` and ``rank_k_approx`` take a LAPACK SVD of the matrix itself, which
 resolves singular values down to about eps * sigma_max, as the rank-k
 curves need.  ``nuclear_norm``, ``svt`` and ``rank_one_approx`` instead
-work on the Hermitian Gram matrix of the short side (n x n for an m x n
-input with n <= m), which for the denoiser's tall 4096 x 43 matrix and
-Table 1's 2049 x 79..313 matrices costs a fraction of the SVD.  The Gram
-eigenvalues are off by about delta = n * eps * sigma_max**2; each function
-states its resulting bound.  ``nuclear_norm`` and ``svt`` need every
-eigenpair and call ``eigh``.  ``rank_one_approx`` needs only the top one and
-finds it by block subspace iteration with Rayleigh-Ritz (Halko, Martinsson
-& Tropp, SIAM Rev. 53(2), 2011): a fixed block of 8 vectors, one product
-with the Gram matrix per iteration, stopped when the top Ritz pair's
-residual falls to ``eigh``'s own backward error n * eps * theta_1, and
-handed to ``eigh`` after 30 iterations or for n <= 16.
+work on the Hermitian Gram matrix of the short side (n x n, n the
+shorter dimension), which for the denoiser's wide 43 x 4096 matrix (one
+frame per row) and Table 1's tall 2049 x 79..313 matrices costs a
+fraction of the SVD.  The Gram eigenvalues are off by about
+delta = n * eps * sigma_max**2; each function states its resulting bound.
+``nuclear_norm`` and ``svt`` need every eigenpair and call ``eigh``.
+``rank_one_approx`` needs only the top one and finds it by block subspace
+iteration with Rayleigh-Ritz (Halko, Martinsson & Tropp, SIAM Rev. 53(2),
+2011): a fixed block of 8 vectors, one product with the Gram matrix per
+iteration, stopped when the top Ritz pair's residual falls to ``eigh``'s
+own backward error n * eps * theta_1, and handed to ``eigh`` after 30
+iterations or for n <= 16.
 """
 
 from __future__ import annotations
@@ -156,8 +157,9 @@ def nuclear_norm(m: np.ndarray) -> float:
     m = _check_finite(m)
     gram, tall = _gram(m)
     _, v = np.linalg.eigh(gram)
-    mv = m @ v if tall else (v.conj().T @ m).T
-    return float(np.sqrt(np.einsum("ij,ij->j", mv.conj(), mv).real).sum())
+    # ||M v_i|| are the column norms of M V; ||v_i^H M|| the row norms of V^H M.
+    mv, norms = (m @ v, "ij,ij->j") if tall else (v.conj().T @ m, "ij,ij->i")
+    return float(np.sqrt(np.einsum(norms, mv.conj(), mv).real).sum())
 
 
 def svt(m: np.ndarray, threshold: float) -> np.ndarray:

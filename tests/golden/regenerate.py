@@ -27,6 +27,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import sys
 import tempfile
@@ -69,7 +70,8 @@ COMMANDS = SYNTH + SPECTROGRAM + [
     for domain, source in (("tf", "clean"), ("time", "noisy"))
 ] + [
     ("fig3_clean", ["fig3", "--duration", "0.5", *SMALL, "-o", "fig3_clean.csv"]),
-    ("fig3_noisy", ["fig3", "--duration", "0.5", *SMALL, "--noise", "-o", "fig3_noisy.csv"]),
+    ("fig3_noisy", ["fig3", "--duration", "0.5", *SMALL, "--input-snr", "10",
+                    "-o", "fig3_noisy.csv"]),
 ] + [
     (f"denoise_{name}",
      ["denoise", "noisy.wav", *SMALL, "--lam", "4", flag, "clean.wav",
@@ -89,9 +91,20 @@ _EDGES = [-1.5, -1.0, -0.5, -1 / 8388608, -0.5 / 8388608, 0.0, 0.5 / 8388608,
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\binf\b|\bnan\b")
 
 
+@contextlib.contextmanager
+def _chdir(path: Path):
+    """``contextlib.chdir``, which Python 3.10 lacks."""
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
 def produce(workdir: Path, commands=COMMANDS) -> None:
     """Run ``commands`` and the ``write_wav`` formats in ``workdir``."""
-    with contextlib.chdir(workdir):
+    with _chdir(workdir):
         for label, argv in commands:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):

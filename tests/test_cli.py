@@ -81,6 +81,20 @@ class TestSynth:
         assert main(["synth", "--freq", "500", "--amp", "2", "--duration", "0.1",
                      "-o", "f.wav"]) == 0
 
+    def test_full_recipe(self, workdir):
+        assert main(["synth", "--count", "11", "--duration", "0.1", "-o", "f.wav"]) == 0
+
+    # The recipe's amplitudes are 10 - h, so a 12th harmonic would be negative.
+    @pytest.mark.parametrize("args,message", [
+        (["--amp", "0.5"], "--amp needs --freq"),
+        (["--count", "12"], "--count must lie in 1..11, got 12"),
+        (["--count", "0"], "--count must lie in 1..11, got 0"),
+    ])
+    def test_recipe_options_checked(self, workdir, capsys, args, message):
+        assert main(["synth", *args, "--duration", "0.1", "-o", "bad.wav"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (workdir / "bad.wav").exists()
+
     # The 5e9 Hz case keeps the buffer at 5 samples; the header cannot hold the rate.
     @pytest.mark.parametrize("args,message", [
         (["--rate", "16000.5"], "sample rate 16000.5 Hz is not an integer"),
@@ -275,8 +289,29 @@ class TestTable1AndFig3:
         assert "[1, 4]" in capsys.readouterr().err
         assert not (workdir / "f3.csv").exists()
 
+    @pytest.mark.parametrize("args", [["lowrank", "noisy.wav", "--k", "0"],
+                                      ["table1", "--seeds", "0"]])
+    def test_counts_below_one_rejected(self, workdir, capsys, args):
+        synth_pair(workdir)
+        assert main(args) == 1
+        assert f"Invalid value for '{args[-2]}'" in capsys.readouterr().err
+
     def test_fig3_bad_k_range(self, workdir):
         assert main(["fig3", "--k-min", "5", "--k-max", "2"]) == 1
+
+    def test_fig3_input_snr_alone_adds_noise(self, workdir):
+        args = ["fig3", "--k-max", "2", "--duration", "0.5", "--window-len", "512"]
+        assert main(args + ["-o", "clean.csv"]) == 0
+        assert main(args + ["--input-snr", "0", "-o", "noisy.csv"]) == 0
+        clean, noisy = ((workdir / f).read_text().splitlines() for f in ("clean.csv", "noisy.csv"))
+        assert len(clean) == len(noisy) == 7
+        assert all(a != b for a, b in zip(clean[1:], noisy[1:]))
+
+    def test_fig3_has_no_noise_switch(self, workdir):
+        assert main(["fig3", "--noise", "-o", "f3.csv"]) == 1
+        (workdir / "conf.txt").write_text("noise = true\n")
+        assert main(["--config", "conf.txt", "fig3", "-o", "f3.csv"]) == 1
+        assert not (workdir / "f3.csv").exists()
 
 
 class TestDenoiseCommands:

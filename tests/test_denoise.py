@@ -204,7 +204,7 @@ class TestRealOperator:
         assert ax.dtype == np.float64
         E = build_corrector(two_sided_if_map(x, cfg))
         two_sided = E * stft(x, cfg, analysis_window(cfg)).data
-        assert ax.shape == two_sided.shape
+        assert ax.shape == two_sided.shape[::-1]
         s_real = np.linalg.svd(ax, compute_uv=False)
         s_two = np.linalg.svd(two_sided, compute_uv=False)
         assert np.abs(s_real - s_two).max() <= 1e-10 * s_two[0]
@@ -222,18 +222,18 @@ class TestRealOperator:
     def public_route(op, cfg, x, z):
         """A x and A^T z through ``stft``/``istft`` and the operator's stored E."""
         pairs = slice(1, 1 + (cfg.window_len - 1) // 2)
-        spec = stft(x, cfg, op.window, one_sided=True).data * op.e_forward.T
-        ax = np.concatenate([spec.real, spec.imag[pairs]])
-        spec = np.zeros((op.half, z.shape[1]), dtype=complex)
-        spec.real = z[: op.half]
-        spec.imag[pairs] = z[op.half :]
-        back = istft(Spectrogram(spec * op.e_adjoint.T, cfg, len(x)), op.window)
+        spec = stft(x, cfg, op.window, one_sided=True).data.T * op.e_forward
+        ax = np.concatenate([spec.real, spec.imag[:, pairs]], axis=1)
+        spec = np.zeros((z.shape[0], op.half), dtype=complex)
+        spec.real = z[:, : op.half]
+        spec.imag[:, pairs] = z[:, op.half :]
+        back = istft(Spectrogram((spec * op.e_adjoint).T, cfg, len(x)), op.window)
         return ax, back.samples
 
     @staticmethod
     def buffers(op, shape):
         """NaN-filled ``out`` and ``spec``: an entry left unwritten shows."""
-        return np.full(shape, np.nan), np.full((shape[1], op.half), np.nan + 1j * np.nan)
+        return np.full(shape, np.nan), np.full((shape[0], op.half), np.nan + 1j * np.nan)
 
     def check_buffered_bit_identity(self, cfg, op, x, Z, U):
         n = len(x)
@@ -269,13 +269,13 @@ class TestRealOperator:
 
     def test_one_shot_calls_keep_no_workspace(self, noisy_pair):
         # lowrank -o and ipclr_objective apply the operator once; the
-        # operator must not keep the L x T buffers of such a call alive.
+        # operator must not keep the T x L buffers of such a call alive.
         _, noisy = noisy_pair
         op = RealAnalysis(CFG, build_corrector(estimate_if_for(noisy, CFG)))
         ax = op.forward(noisy.samples)
         op.adjoint(ax, len(noisy))
-        L, T = ax.shape
-        assert all(a.size < L * T for a in ndarrays(op))
+        T, L = ax.shape
+        assert all(a.size < T * L for a in ndarrays(op))
 
 
 class TestDenoise:

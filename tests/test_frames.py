@@ -27,15 +27,15 @@ from ipclr.signals import SignalBuffer
 
 
 def dense_stft_oracle(x, config, w, framing):
-    """Eq.-by-definition transform: DFT matrix times diag(w) times patches."""
+    """Eq.-by-definition transform: DFT matrix times diag(w) times the L x T patches."""
     K = config.window_len
-    patches = reference_patches(x, config, framing)
+    patches = reference_patches(x, config, framing).T
     F = np.exp(-2j * np.pi * np.outer(np.arange(K), np.arange(config.window_len)) / K)
     return F @ np.diag(w) @ patches
 
 
 def reference_patches(x, config, framing):
-    """Independent patch builder: explicit loops over the framing rule."""
+    """Independent framing reference, one frame per row: explicit loops over the framing rule."""
     x = np.asarray(x)
     L, a, n = config.window_len, config.hop, len(x)
     if framing == "valid":
@@ -44,15 +44,15 @@ def reference_patches(x, config, framing):
     else:
         n_frames = -(-n // a) + L // a - 1
         offset = -(L - a)
-    cols = []
+    rows = []
     for tau in range(n_frames):
-        col = np.zeros(L, dtype=complex if np.iscomplexobj(x) else float)
+        row = np.zeros(L, dtype=complex if np.iscomplexobj(x) else float)
         for l in range(L):
             idx = offset + a * tau + l
             if 0 <= idx < n:
-                col[l] = x[idx]
-        cols.append(col)
-    return np.stack(cols, axis=1)
+                row[l] = x[idx]
+        rows.append(row)
+    return np.stack(rows)
 
 
 class TestStftConfig:
@@ -295,10 +295,10 @@ class TestIstft:
 
 def reference_overlap_add(frames, hop):
     """Per-frame loop: frame tau added at offset hop * tau, in time order."""
-    L, n_frames = frames.shape
+    n_frames, L = frames.shape
     buf = np.zeros(hop * (n_frames - 1) + L, dtype=frames.dtype)
     for tau in range(n_frames):
-        buf[hop * tau : hop * tau + L] += frames[:, tau]
+        buf[hop * tau : hop * tau + L] += frames[tau]
     return buf
 
 
@@ -306,7 +306,7 @@ class TestOverlapAdd:
     @pytest.mark.parametrize("div", [2, 4, 8])
     @pytest.mark.parametrize("n_frames", [1, 2, 7, 40])
     def test_matches_frame_loop_exactly(self, div, n_frames):
-        frames = np.random.default_rng(div * n_frames).standard_normal((64, n_frames))
+        frames = np.random.default_rng(div * n_frames).standard_normal((n_frames, 64))
         out = overlap_add(frames, 64 // div)
         np.testing.assert_array_equal(out, reference_overlap_add(frames, 64 // div))
 
