@@ -19,6 +19,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import experiments
 from .denoise import (AdmmParams, NumericalError, RealAnalysis, denoise, estimate_if_for,
@@ -128,10 +129,15 @@ def cli(ctx: click.Context, config: str | None):
                    "(same scale with or without --snr, so clean/noisy pairs "
                    "stay comparable).")
 @click.option("-o", "--output", default="signal.wav", show_default=True)
-def cmd_synth(count, base_freq, freq, amp, duration, rate, snr, seed, normalize,
-              output):
+@click.pass_context
+def cmd_synth(ctx: click.Context, count, base_freq, freq, amp, duration, rate, snr, seed,
+              normalize, output):
     """Synthesize a sum-of-sinusoids WAV, optionally with seeded noise."""
     if freq:
+        for name in ("count", "base_freq"):  # a config-file value counts as given
+            if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+                raise click.UsageError(f"--{name.replace('_', '-')} sets the recipe, "
+                                       f"which --freq replaces")
         if amp and len(amp) != len(freq):
             raise click.UsageError("--amp count must match --freq count")
         amplitudes = amp or [1.0] * len(freq)

@@ -29,19 +29,25 @@ a noisy waveform is built per observation.  Every IF map comes from
 ``ifreq.estimate_if_from``, fed the Hann spectrogram already taken for the
 cells, so no spectrogram is taken twice.  Table 1's cells are rank 1 and
 take the top singular pair from the Gram matrix (``rank_one_approx``);
-Fig. 3's rank-k curves factor each observation with the LAPACK ``svd``.
-Both use the threads of the BLAS library.
+Fig. 3's rank-k curves factor each observation with the LAPACK ``svd``
+at the BLAS library's own thread count.  Table 1 instead runs at one
+OpenBLAS thread (``blas.one_thread``) and splits each hop's observations
+over the process's CPUs, one thread each, so its cells do not depend on
+OpenBLAS's thread count.  Without a settable OpenBLAS it runs serially.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .frames import Spectrogram, StftConfig, hann_window, stft
 from .ifreq import IfMap, estimate_if, estimate_if_from  # estimate_if: wrapped by perfbench
+from .io import _usable_cpus
 from .ipc import build_corrector
 from .lowrank import rank_one_approx, svd
 from .signals import (
@@ -49,6 +55,7 @@ from .signals import (
     SinusoidSpec,
     add_complex_noise_at_snr,
     add_noise_at_snr,
+    error_snr_db,
     snr_db,
     synth_sinusoid_sum,
 )
@@ -167,25 +174,76 @@ def represent(
     """Return ``(matrix, back)``: what rank-k truncation acts on, and the map back.
 
     ``amplitude`` truncates ``|x|`` and restores the phase of ``x``
-    (``unit_phase``); ``ipc`` truncates ``E * x`` with a corrector ``e`` of
-    the shape of ``x`` (the other representations ignore ``e``).
+    (``unit_phase``, taken at each call into the buffer it returns); ``ipc``
+    truncates ``E * x`` with a corrector ``e`` of the shape of ``x`` and
+    maps back with ``conj(e)`` in the argument's own buffer (the other
+    representations ignore ``e``).  ``back`` may thus overwrite its
+    argument, and may be called any number of times.
     """
     if representation == "amplitude":
         mag = np.abs(x)
-        phase = unit_phase(x, mag)
-        return mag, lambda m: m * phase
+
+        def back(m: np.ndarray) -> np.ndarray:
+            phase = unit_phase(x, mag)
+            return np.multiply(m, phase, out=phase)
+
+        return mag, back
     if representation == "stft":
         return x, lambda m: m
     if representation != "ipc":
         raise ValueError(f"unknown representation: {representation!r}")
-    return e * x, lambda m: np.conj(e) * m
+    return e * x, lambda m: np.multiply(np.conj(e), m, out=m)
 
 
 def _rank_one_snr(
     x_clean: np.ndarray, x_obs: np.ndarray, representation: str, e: np.ndarray | None
 ) -> float:
+    """SNR of the rank-1 truncation of ``x_obs`` in ``representation``.
+
+    The representation is freed before the back-map allocates, and the
+    error is taken in the estimate's own buffer.
+    """
     m, back = represent(x_obs, representation, e)
-    return snr_db(x_clean, back(rank_one_approx(m)))
+    approx = rank_one_approx(m)
+    del m
+    estimate = back(approx)
+    return error_snr_db(x_clean, np.subtract(estimate, x_clean, out=estimate))
+
+
+def _in_threads(task: Callable[[int], object], count: int, workers: int) -> list:
+    """``[task(i) for i in range(count)]`` on this thread and ``workers - 1`` more.
+
+    Each thread pulls the next index from a shared counter, so the results
+    do not depend on how the tasks fall to threads.  The first exception
+    stops further tasks and is raised once every thread has finished.
+    """
+    results: list = [None] * count
+    failures: list[BaseException] = []
+    pending = iter(range(count))
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = task(i)
+            except BaseException as exc:  # re-raised by the calling thread below
+                with lock:
+                    failures.append(exc)
+                return
+
+    threads = [threading.Thread(target=drain) for _ in range(min(workers, count) - 1)]
+    for thread in threads:
+        thread.start()
+    drain()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return results
 
 
 def rank_cell_snr(
@@ -206,18 +264,22 @@ def rank_cell_snr(
     ``input_snr_db=None`` runs the noise-free cell.  All scoring happens on
     the one-sided half spectrum.  ``if_source="noisy"`` estimates the phase
     correction from the noisy waveform and so needs ``noise_domain="time"``:
-    bin-wise noise has no waveform, and the pair is a ValueError.
+    bin-wise noise has no waveform, and the pair is a ValueError.  Like
+    ``run_table1`` it runs at one OpenBLAS thread, so the two agree bit for
+    bit.
     """
     if k != 1:
         raise ValueError(
             f"Table 1 cells are rank-1, got k={k}; run_fig3 is the rank-k path"
         )
     _check_noise(noise_domain, if_source)
-    s_clean = valid_spectrogram(clean, config)
-    x_obs, observed, s_obs = observe(clean, s_clean, input_snr_db, seed, noise_domain)
-    if_signal, s_if = (clean, s_clean) if if_source == "clean" else (observed, s_obs)
-    e = build_corrector(estimate_if_from(if_signal, s_if)) if representation == "ipc" else None
-    return _rank_one_snr(s_clean.data, x_obs, representation, e)
+    with blas.one_thread():
+        s_clean = valid_spectrogram(clean, config)
+        x_obs, observed, s_obs = observe(clean, s_clean, input_snr_db, seed, noise_domain)
+        if_signal, s_if = (clean, s_clean) if if_source == "clean" else (observed, s_obs)
+        e = (build_corrector(estimate_if_from(if_signal, s_if))
+             if representation == "ipc" else None)
+        return _rank_one_snr(s_clean.data, x_obs, representation, e)
 
 
 def run_table1(spec: ExperimentSpec) -> list[RankCell]:
@@ -227,26 +289,37 @@ def run_table1(spec: ExperimentSpec) -> list[RankCell]:
     and runs once (seed -1).  Cells are computed hop by hop, sharing the
     clean spectrogram and corrector of each hop and the observation of each
     (level, seed), and returned ordered by representation, hop, then level
-    and seed, with the clean cell last.
+    and seed, with the clean cell last.  The whole run is at one OpenBLAS
+    thread, and each hop's observations are split over the process's CPUs
+    (serially when the thread count cannot be set); every cell is computed
+    the same way on whichever thread, so the cells do not depend on the
+    split.
     """
     clean = default_signal(spec.sinusoid_count, spec.duration_s)
-    noisy = [(level, seed) for level in spec.input_snrs_db for seed in spec.seeds]
-    cells: dict[str, list[RankCell]] = {r: [] for r in REPRESENTATIONS}
-    for div in spec.shift_divisors:
-        s_clean = valid_spectrogram(clean, analysis_config(spec.window_len, div))
-        e_clean = build_corrector(estimate_if_from(clean, s_clean))
-        for level, seed in noisy + [(None, -1)]:
-            x_obs, observed, s_obs = observe(clean, s_clean, level, seed, spec.noise_domain)
-            if spec.if_source == "clean" or observed is clean:
-                e = e_clean
-            else:  # a corrector from the noisy waveform
-                e = build_corrector(estimate_if_from(observed, s_obs))
-            for representation in REPRESENTATIONS:
-                value = _rank_one_snr(s_clean.data, x_obs, representation, e)
-                cells[representation].append(
-                    RankCell(representation, div, level, 1, seed, value)
-                )
-    return [cell for representation in REPRESENTATIONS for cell in cells[representation]]
+    observations = [(level, seed) for level in spec.input_snrs_db for seed in spec.seeds]
+    observations.append((None, -1))
+    by_hop = []  # per hop, per observation: the SNR of each representation
+    with blas.one_thread() as pinned:
+        workers = _usable_cpus() if pinned else 1
+        for div in spec.shift_divisors:
+            s_clean = valid_spectrogram(clean, analysis_config(spec.window_len, div))
+            e_clean = build_corrector(estimate_if_from(clean, s_clean))
+
+            def observation_snrs(i: int) -> list[float]:
+                level, seed = observations[i]
+                x_obs, observed, s_obs = observe(clean, s_clean, level, seed,
+                                                 spec.noise_domain)
+                if spec.if_source == "clean" or observed is clean:
+                    e = e_clean
+                else:  # a corrector from the noisy waveform
+                    e = build_corrector(estimate_if_from(observed, s_obs))
+                return [_rank_one_snr(s_clean.data, x_obs, r, e) for r in REPRESENTATIONS]
+
+            by_hop.append(_in_threads(observation_snrs, len(observations), workers))
+    return [RankCell(representation, div, level, 1, seed, snrs[j])
+            for j, representation in enumerate(REPRESENTATIONS)
+            for div, hop in zip(spec.shift_divisors, by_hop)
+            for (level, seed), snrs in zip(observations, hop)]
 
 
 def table1_layout(cells: list[RankCell]) -> list[dict]:

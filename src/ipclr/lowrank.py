@@ -6,8 +6,11 @@ curves need.  ``nuclear_norm``, ``svt`` and ``rank_one_approx`` instead
 work on the Hermitian Gram matrix of the short side (n x n, n the
 shorter dimension), which for the denoiser's wide 43 x 4096 matrix (one
 frame per row) and Table 1's tall 2049 x 79..313 matrices costs a
-fraction of the SVD.  The Gram eigenvalues are off by about
-delta = n * eps * sigma_max**2; each function states its resulting bound.
+fraction of the SVD.  A tall complex C-contiguous matrix (Table 1's) gets
+its Gram matrix from OpenBLAS's ``zherk`` (``blas.conj_gram``), which
+computes one triangle from M itself; otherwise numpy forms the product.
+The Gram eigenvalues are off by about delta = n * eps * sigma_max**2 either
+way; each function states its resulting bound.
 ``nuclear_norm`` and ``svt`` need every eigenpair and call ``eigh``.
 ``rank_one_approx`` needs only the top one and finds it by block subspace
 iteration with Rayleigh-Ritz (Halko, Martinsson & Tropp, SIAM Rev. 53(2),
@@ -22,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import blas
 
 
 @dataclass(frozen=True)
@@ -80,9 +85,15 @@ def rank_k_approx(m: np.ndarray, k: int) -> np.ndarray:
 
 
 def _gram(m: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Hermitian Gram matrix of the short side, and whether it is M^H M."""
+    """Hermitian Gram matrix of the short side, and whether it is M^H M.
+
+    A tall complex C-contiguous M takes ``zherk`` (``blas.conj_gram``): one
+    triangle, mirrored, with no conjugated copy of M.  numpy already forms
+    a real M^T M by ``syrk``.
+    """
     if m.shape[0] >= m.shape[1]:
-        return m.conj().T @ m, True
+        gram = blas.conj_gram(m)
+        return (m.conj().T @ m if gram is None else gram), True
     return m @ m.conj().T, False
 
 

@@ -152,10 +152,19 @@ def snr_db(reference, estimate) -> float:
     est = np.asarray(estimate.samples if isinstance(estimate, SignalBuffer) else estimate)
     if ref.shape != est.shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {est.shape}")
-    ref_energy = _energy(ref)
+    return error_snr_db(ref, ref - est)
+
+
+def error_snr_db(reference: np.ndarray, error: np.ndarray) -> float:
+    """10*log10(||reference||^2 / ||error||^2), +inf for a zero error.
+
+    The form of ``snr_db`` for a caller that already holds the error, for
+    example one taken in place in the estimate's own buffer.
+    """
+    ref_energy = _energy(reference)
     if ref_energy == 0.0:
         raise ValueError("reference has zero energy")
-    err_energy = _energy(ref - est)
+    err_energy = _energy(error)
     if err_energy == 0.0:
         return math.inf
     return 10.0 * math.log10(ref_energy / err_energy)

@@ -95,6 +95,21 @@ class TestSynth:
         assert message in capsys.readouterr().err
         assert not (workdir / "bad.wav").exists()
 
+    # --freq replaces the recipe, so a recipe option given with it is an error,
+    # also when it comes from the config file.
+    @pytest.mark.parametrize("args,config", [
+        (["--count", "20"], ""),
+        (["--base-freq", "50"], ""),
+        ([], "count = 4\n"),
+    ])
+    def test_recipe_options_rejected_with_freq(self, workdir, capsys, args, config):
+        (workdir / "conf.txt").write_text(config)
+        option = args[0] if args else "--count"
+        assert main(["--config", "conf.txt", "synth", "--freq", "100", *args,
+                     "--duration", "0.1", "-o", "bad.wav"]) == 1
+        assert f"{option} sets the recipe, which --freq replaces" in capsys.readouterr().err
+        assert not (workdir / "bad.wav").exists()
+
     # The 5e9 Hz case keeps the buffer at 5 samples; the header cannot hold the rate.
     @pytest.mark.parametrize("args,message", [
         (["--rate", "16000.5"], "sample rate 16000.5 Hz is not an integer"),

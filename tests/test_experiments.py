@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from ipclr import blas, experiments
 from ipclr.experiments import (
     REPRESENTATIONS,
     ExperimentSpec,
@@ -285,3 +289,66 @@ class TestSweeps:
         )
         cells = run_fig3(spec, 10.0)
         assert len(cells) == 3
+
+
+class TestTable1Split:
+    """run_table1 splits each hop's observations over threads at one BLAS thread."""
+
+    SPEC = ExperimentSpec(kind="table1", duration_s=0.5, window_len=512, seeds=(0, 1, 2))
+
+    @staticmethod
+    def threads_per_cell(monkeypatch):
+        """Run the table, recording the thread each cell ran on; return (cells, threads)."""
+        threads = []
+        rank_one_snr = experiments._rank_one_snr
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return rank_one_snr(*args)
+
+        monkeypatch.setattr(experiments, "_rank_one_snr", recording)
+        return run_table1(TestTable1Split.SPEC), threads
+
+    def test_one_and_two_workers_give_identical_cells(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        serial, threads = self.threads_per_cell(monkeypatch)
+        assert set(threads) == {threading.get_ident()}
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        assert run_table1(self.SPEC) == serial
+
+    def test_absent_library_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(blas, "_openblas", dict)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        cells, threads = self.threads_per_cell(monkeypatch)
+        assert set(threads) == {threading.get_ident()}
+        assert len(cells) == 3 * 3 * (3 * 3 + 1)
+
+
+class TestInThreads:
+    def test_each_task_runs_once_in_order(self):
+        calls = []
+
+        def task(i):
+            calls.append(i)
+            return i * i
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = experiments._in_threads(task, 2000, workers=8)
+        finally:
+            sys.setswitchinterval(switch)
+        assert results == [i * i for i in range(2000)]
+        assert sorted(calls) == list(range(2000))
+
+    def test_first_exception_raised_after_threads_finish(self):
+        before = threading.active_count()
+
+        def task(i):
+            if i == 3:
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError):
+            experiments._in_threads(task, 50, workers=4)
+        assert threading.active_count() == before
